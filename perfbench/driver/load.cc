@@ -320,11 +320,9 @@ int LoadDriver::Handle(const std::string& payload, int64_t now_ns,
 
   const int64_t start_ns = open_loop_ ? state.due_ns : state.sent_ns;
   if (open_loop_) {
-    const double latency = static_cast<double>(now_ns - state.due_ns) * 1e-9;
-    (op.ingest ? result->ingest_latency : result->solve_latency)
-        .push_back(latency);
-    if (ok && latency <= slo_seconds_) ++*slo_ok_;
-    if (ok && !op.ingest) result->wire_wait.push_back(latency - response->seconds);
+    result->due_latency.emplace_back(
+        state.due_ns, ok ? static_cast<double>(now_ns - state.due_ns) * 1e-9
+                         : std::numeric_limits<double>::infinity());
   }
   if (spans_ != nullptr) {
     spans_->Add(id, Layer::kClient, Layer::kNone, start_ns, now_ns);
@@ -467,14 +465,10 @@ util::StatusOr<PhaseResult> LoadDriver::RunClosed(int phase, int window) {
   return result;
 }
 
-util::StatusOr<PhaseResult> LoadDriver::RunOpen(double rate,
-                                                double slo_seconds,
-                                                int64_t* slo_ok) {
+util::StatusOr<PhaseResult> LoadDriver::RunOpen(double rate) {
   PhaseResult result;
   current_ = &result;
   open_loop_ = true;
-  slo_seconds_ = slo_seconds;
-  slo_ok_ = slo_ok;
   retry_.clear();
   const size_t begin = inputs_.phase_begin[kOpen];
   const size_t end = inputs_.phase_begin[kOpen + 1];
@@ -503,8 +497,7 @@ util::StatusOr<PhaseResult> LoadDriver::RunOpen(double rate,
   size_t done = 0;
   result.lag.reserve(total);
   result.ok_done_ns.reserve(total);
-  result.solve_latency.reserve(total);
-  result.wire_wait.reserve(total);
+  result.due_latency.reserve(total);
   // A tenant whose previous op was still in flight at its next op's due
   // time sends that op as soon as the previous one completes; its latency
   // still counts from the due time.
@@ -549,7 +542,6 @@ util::StatusOr<PhaseResult> LoadDriver::RunOpen(double rate,
   result.seconds = static_cast<double>(NowNs() - start_ns) * 1e-9;
   open_loop_ = false;
   current_ = nullptr;
-  slo_ok_ = nullptr;
   return result;
 }
 

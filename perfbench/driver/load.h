@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "driver/inputs.h"
@@ -77,13 +78,11 @@ struct PhaseResult {
   double seconds = 0.0;
   /// When each op answered `ok` completed, in completion order.
   std::vector<int64_t> ok_done_ns;
-  /// Open loop only: latency from the op's due time, per verb (seconds),
-  /// how late each op left, and client latency minus the server-reported
-  /// cycle time of each solve_cycle.
-  std::vector<double> ingest_latency;
-  std::vector<double> solve_latency;
+  /// Open loop only: each op's due time and its latency from then, in
+  /// seconds (infinite for an op not answered `ok`), and how late each
+  /// op left.
+  std::vector<std::pair<int64_t, double>> due_latency;
   std::vector<double> lag;
-  std::vector<double> wire_wait;
   int64_t request_bytes = 0;
   int64_t response_bytes = 0;
 };
@@ -109,9 +108,7 @@ class LoadDriver {
   /// The open-loop phase: slot j of Inputs::open_schedule is due at
   /// start + j / rate and is timed from then, even when it leaves
   /// late because its tenant's previous op is still in flight.
-  auditgame::util::StatusOr<PhaseResult> RunOpen(double rate,
-                                                 double slo_seconds,
-                                                 int64_t* slo_ok);
+  auditgame::util::StatusOr<PhaseResult> RunOpen(double rate);
 
  private:
   struct Conn {
@@ -154,8 +151,6 @@ class LoadDriver {
   std::vector<TenantState> tenants_;
   PhaseResult* current_ = nullptr;
   bool open_loop_ = false;
-  double slo_seconds_ = 0.0;
-  int64_t* slo_ok_ = nullptr;
   /// Tenants waiting to re-send after `overloaded`.
   std::vector<int> retry_;
 };

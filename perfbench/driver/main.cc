@@ -62,28 +62,64 @@ double Percentile(std::vector<double> values, double q) {
 
 double Ratio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
 
-/// Closed-loop throughput: the phase's completions are cut into
-/// kThroughputWindows runs of equal count, and the median of their rates
-/// is reported. Host stalls on a shared VM come and go within a run; the
-/// median keeps the rate of the undisturbed majority of it.
-constexpr size_t kThroughputWindows = 10;
+/// Verbs, as the traced figures group spans.
+constexpr int kIngest = 0;
+constexpr int kSolveCycle = 1;
+constexpr int kAnyVerb = 2;
 
+/// Throughput and SLO attainment are medians over kWindows stretches of
+/// their phase. Host stalls on a shared VM come and go within a run; the
+/// median keeps the figure of the undisturbed majority of it.
+constexpr size_t kWindows = 10;
+
+/// Closed-loop throughput: the phase's completions are cut into kWindows
+/// runs of equal count, and the median of their rates is reported.
 double WindowedThroughput(const PhaseResult& phase) {
   const std::vector<int64_t>& done = phase.ok_done_ns;
-  if (done.size() < kThroughputWindows) {
+  if (done.size() < kWindows) {
     return Ratio(static_cast<double>(done.size()), phase.seconds);
   }
   std::vector<double> rates;
   int64_t from_ns = phase.start_ns;
-  for (size_t w = 1; w <= kThroughputWindows; ++w) {
-    const size_t begin = (w - 1) * done.size() / kThroughputWindows;
-    const size_t end = w * done.size() / kThroughputWindows;
+  for (size_t w = 1; w <= kWindows; ++w) {
+    const size_t begin = (w - 1) * done.size() / kWindows;
+    const size_t end = w * done.size() / kWindows;
     const int64_t to_ns = done[end - 1];
     rates.push_back(Ratio(static_cast<double>(end - begin),
                           static_cast<double>(to_ns - from_ns) * 1e-9));
     from_ns = to_ns;
   }
   return Percentile(rates, 0.50);
+}
+
+/// Open-loop SLO attainment: the ops are cut by due time into
+/// kWindows stretches of equal length, and the median of the
+/// stretches' shares answered `ok` within `slo_seconds` is reported, so a
+/// host stall that backs up one stretch does not set the figure.
+double WindowedSloRatio(const PhaseResult& open, double slo_seconds) {
+  const std::vector<std::pair<int64_t, double>>& ops = open.due_latency;
+  if (ops.empty()) return 0.0;
+  int64_t first_ns = ops.front().first;
+  int64_t last_ns = first_ns;
+  for (const auto& [due_ns, seconds] : ops) {
+    first_ns = std::min(first_ns, due_ns);
+    last_ns = std::max(last_ns, due_ns);
+  }
+  const double span_ns = static_cast<double>(last_ns - first_ns) + 1.0;
+  std::vector<double> within(kWindows, 0.0);
+  std::vector<double> total(kWindows, 0.0);
+  for (const auto& [due_ns, seconds] : ops) {
+    const size_t w = static_cast<size_t>(
+        static_cast<double>(due_ns - first_ns) / span_ns *
+        static_cast<double>(kWindows));
+    total[w] += 1.0;
+    if (seconds <= slo_seconds) within[w] += 1.0;
+  }
+  std::vector<double> shares;
+  for (size_t w = 0; w < kWindows; ++w) {
+    if (total[w] > 0.0) shares.push_back(within[w] / total[w]);
+  }
+  return Percentile(shares, 0.50);
 }
 
 /// Shard counters summed over one `stats` response.
@@ -142,7 +178,6 @@ int Run(int argc, char** argv) {
   flags.Define("slo_ms", "10", "open-loop latency limit");
   flags.Define("setup_reps", "3", "set-ups timed; the median is reported");
   flags.Define("trace", "0", "1 = traced run: per-layer figures");
-  flags.Define("spans", "", "traced run: write spans here (TSV)");
   if (util::Status parsed = flags.Parse(argc, argv); !parsed.ok()) {
     std::cerr << parsed << "\n" << flags.HelpString(argv[0]);
     return 2;
@@ -237,19 +272,23 @@ int Run(int argc, char** argv) {
   ServerCounters before;
   if (traced) {
     // Room for every client span of the traced phases (a request and its
-    // server cycle), so no reallocation lands inside a timed phase.
+    // server cycle), so no reallocation lands inside a timed phase, and for
+    // the replay's: decode, service and encode per op, a span per solve (at
+    // most two per solve_cycle, which alternates with ingest at worst), and
+    // the WAL sample's appends and commits.
     const size_t traced_ops =
         inputs->tenants.size() *
         (inputs->phase_begin[kClosed] - inputs->phase_begin[kOpen] +
          inputs->phase_begin[kNumPhases] - inputs->phase_begin[kClosedTraced]);
-    spans.spans.reserve(2 * traced_ops);
+    const size_t all_ops = inputs->tenants.size() * inputs->OpsPerTenant();
+    spans.spans.reserve(2 * traced_ops + 4 * all_ops +
+                        2 * ReplayConfig().wal_sample);
     auto counters = ReadCounters(server->port());
     if (!counters.ok()) return fail("stats", counters.status());
     before = *counters;
   }
-  int64_t slo_ok = 0;
   load.set_spans(traced ? &spans : nullptr);
-  auto open = load.RunOpen(flags.GetDouble("open_rate"), slo_seconds, &slo_ok);
+  auto open = load.RunOpen(flags.GetDouble("open_rate"));
   if (!open.ok()) return fail("open loop", open.status());
   totals.Add(*open);
   load.set_spans(nullptr);
@@ -295,12 +334,12 @@ int Run(int argc, char** argv) {
   replay.wal_dir = (std::filesystem::path(work_dir) / "wal-sample").string();
   replay.wal_batch = kServerBatch;
   ReplayCheck check;
-  ReplayLayers layers;
+  ReplayCounts counts;
   std::error_code ignored;
   std::filesystem::remove_all(replay.wal_dir, ignored);
   std::filesystem::create_directories(work_dir, ignored);
   const util::Status replayed =
-      Replay(replay, *inputs, outcomes, &check, &layers, &spans);
+      Replay(replay, *inputs, outcomes, &check, &counts, &spans);
   std::filesystem::remove_all(replay.wal_dir, ignored);
   if (!replayed.ok()) return fail("replay", replayed);
 
@@ -333,8 +372,7 @@ int Run(int argc, char** argv) {
     }
     metrics["server_cpu_us_per_op"] =
         Ratio(*cpu_after - *cpu_before, static_cast<double>(closed->ok)) * 1e6;
-    metrics["slo_ok_ratio"] = Ratio(static_cast<double>(slo_ok),
-                                    static_cast<double>(open->attempted));
+    metrics["slo_ok_ratio"] = WindowedSloRatio(*open, slo_seconds);
     metrics["ok_ratio"] =
         Ratio(static_cast<double>(totals.attempted - totals.failed),
               static_cast<double>(totals.attempted));
@@ -343,23 +381,56 @@ int Run(int argc, char** argv) {
     metrics["setup_s"] = Percentile(setup_seconds, 0.50);
     metrics["server_peak_rss_mb"] = *peak_rss;
   } else {
-    const auto us = [](const std::vector<double>& v, double q) {
-      return Percentile(v, q) * 1e6;
+    // Every timing below comes from the span log. A span's request id
+    // names its tenant and op, and so its phase and verb.
+    const auto in = [&](int first_phase, int last_phase, int verb) {
+      return [&, first_phase, last_phase, verb](int64_t id) {
+        if (id < 0) return false;
+        const size_t k = OpOf(id);
+        const size_t tenant = static_cast<size_t>(TenantOf(id));
+        const Op& op = inputs->tenants[tenant].ops[k];
+        return k >= inputs->phase_begin[first_phase] &&
+               k < inputs->phase_begin[last_phase + 1] &&
+               (verb == kAnyVerb || op.ingest == (verb == kIngest));
+      };
     };
-    std::vector<double> decode_all = layers.decode[0];
-    decode_all.insert(decode_all.end(), layers.decode[1].begin(),
-                      layers.decode[1].end());
+    const auto any = [](int64_t) { return true; };
+    const auto open_ops = [&](int verb) { return in(kOpen, kOpen, verb); };
+    const auto timed = [&](int verb) {
+      return in(kOpen, kNumPhases - 1, verb);
+    };
+    const auto p50 = [](const std::vector<double>& v) {
+      return Percentile(v, 0.50);
+    };
+    const std::vector<double> client[2] = {
+        spans.Seconds(Layer::kClient, open_ops(kIngest)),
+        spans.Seconds(Layer::kClient, open_ops(kSolveCycle))};
+    const std::vector<double> wire_wait =
+        spans.Seconds(Layer::kClient, open_ops(kSolveCycle), /*self=*/true);
+    std::vector<double> decode[2];
+    std::vector<double> service[2];
+    std::vector<double> encode[2];
+    for (const int verb : {kIngest, kSolveCycle}) {
+      decode[verb] = spans.Seconds(Layer::kDecode, timed(verb));
+      service[verb] = spans.Seconds(verb == kIngest ? Layer::kServiceIngest
+                                                    : Layer::kServiceCycle,
+                                    timed(verb));
+      encode[verb] = spans.Seconds(Layer::kEncode, timed(verb));
+    }
+    const std::vector<double> warm_solve =
+        spans.Seconds(Layer::kWarmSolve, timed(kAnyVerb));
+    const std::vector<double> wal_commit =
+        spans.Seconds(Layer::kWalCommit, any);
+
     metrics["client.throughput_rps"] = WindowedThroughput(*closed);
     metrics["client.solve_p50_ms"] =
-        Percentile(open->solve_latency, 0.50) * 1e3;
+        Percentile(client[kSolveCycle], 0.50) * 1e3;
     metrics["client.solve_p99_ms"] =
-        Percentile(open->solve_latency, 0.99) * 1e3;
-    metrics["client.ingest_p50_ms"] =
-        Percentile(open->ingest_latency, 0.50) * 1e3;
-    metrics["client.ingest_p99_ms"] =
-        Percentile(open->ingest_latency, 0.99) * 1e3;
-    metrics["wire.wait_p50_us"] = us(open->wire_wait, 0.50);
-    metrics["wire.wait_p99_us"] = us(open->wire_wait, 0.99);
+        Percentile(client[kSolveCycle], 0.99) * 1e3;
+    metrics["client.ingest_p50_ms"] = Percentile(client[kIngest], 0.50) * 1e3;
+    metrics["client.ingest_p99_ms"] = Percentile(client[kIngest], 0.99) * 1e3;
+    metrics["wire.wait_p50_us"] = Percentile(wire_wait, 0.50) * 1e6;
+    metrics["wire.wait_p99_us"] = Percentile(wire_wait, 0.99) * 1e6;
     metrics["wire.request_bytes_mean"] =
         Ratio(static_cast<double>(open->request_bytes +
                                   closed_traced.request_bytes),
@@ -374,63 +445,52 @@ int Run(int argc, char** argv) {
     metrics["shard.batch_mean"] = Ratio(after.processed - before.processed,
                                         after.batches - before.batches);
     metrics["shard.overloaded"] = after.overloaded - before.overloaded;
-    metrics["codec.decode_us"] = us(decode_all, 0.50);
-    metrics["codec.encode_us"] = us(layers.encode[1], 0.50);
-    metrics["service.ingest_us"] = us(layers.service[0], 0.50);
-    metrics["service.cycle_self_us"] = us(layers.cycle_self, 0.50);
+    metrics["codec.decode_us"] =
+        p50(spans.Seconds(Layer::kDecode, timed(kAnyVerb))) * 1e6;
+    metrics["codec.encode_us"] = p50(encode[kSolveCycle]) * 1e6;
+    metrics["service.ingest_us"] = p50(service[kIngest]) * 1e6;
+    metrics["service.cycle_self_us"] =
+        p50(spans.Seconds(Layer::kServiceCycle, timed(kSolveCycle),
+                          /*self=*/true)) *
+        1e6;
     metrics["cache.hit_ratio"] =
-        Ratio(static_cast<double>(layers.timed_cache),
-              static_cast<double>(layers.timed_policies));
-    metrics["service.warm_solves"] = static_cast<double>(layers.timed_warm);
-    metrics["service.cold_solves"] = static_cast<double>(layers.timed_cold);
-    metrics["solver.warm_solve_us_p50"] = us(layers.warm_solve, 0.50);
-    metrics["solver.warm_solve_us_p99"] = us(layers.warm_solve, 0.99);
+        Ratio(static_cast<double>(counts.timed_cache),
+              static_cast<double>(counts.timed_policies));
+    metrics["service.warm_solves"] = static_cast<double>(counts.timed_warm);
+    metrics["service.cold_solves"] = static_cast<double>(counts.timed_cold);
+    metrics["solver.warm_solve_us_p50"] = Percentile(warm_solve, 0.50) * 1e6;
+    metrics["solver.warm_solve_us_p99"] = Percentile(warm_solve, 0.99) * 1e6;
     metrics["solver.cold_solve_ms_p50"] =
-        Percentile(layers.cold_solve, 0.50) * 1e3;
+        p50(spans.Seconds(Layer::kColdSolve, any)) * 1e3;
     metrics["solver.compile_hit_ratio"] =
-        Ratio(static_cast<double>(layers.compile_hits),
-              static_cast<double>(layers.compile_hits + layers.compile_misses));
-    metrics["solver.pricing_share"] =
-        Ratio(layers.pricing_seconds, layers.solve_seconds);
-    const double solves = static_cast<double>(layers.solves);
+        Ratio(static_cast<double>(counts.compile_hits),
+              static_cast<double>(counts.compile_hits + counts.compile_misses));
+    const double solves = static_cast<double>(counts.solves);
     metrics["solver.evaluations_per_solve"] =
-        Ratio(static_cast<double>(layers.evaluations), solves);
+        Ratio(static_cast<double>(counts.evaluations), solves);
     metrics["solver.distinct_evaluations_per_solve"] =
-        Ratio(static_cast<double>(layers.distinct_evaluations), solves);
-    metrics["solver.lp_solves_per_solve"] =
-        Ratio(static_cast<double>(layers.lp_solves), solves);
-    metrics["solver.warm_lp_ratio"] =
-        Ratio(static_cast<double>(layers.warm_lp_solves),
-              static_cast<double>(layers.lp_solves));
-    metrics["solver.columns_per_solve"] =
-        Ratio(static_cast<double>(layers.columns), solves);
-    metrics["wal.append_us"] = us(layers.wal_append, 0.50);
-    metrics["wal.commit_p50_us"] = us(layers.wal_commit, 0.50);
-    metrics["wal.commit_p99_us"] = us(layers.wal_commit, 0.99);
+        Ratio(static_cast<double>(counts.distinct_evaluations), solves);
+    metrics["wal.append_us"] = p50(spans.Seconds(Layer::kWalAppend, any)) * 1e6;
+    metrics["wal.commit_p50_us"] = Percentile(wal_commit, 0.50) * 1e6;
+    metrics["wal.commit_p99_us"] = Percentile(wal_commit, 0.99) * 1e6;
     metrics["wal.bytes_per_op"] =
-        Ratio(static_cast<double>(layers.wal_record_bytes),
-              static_cast<double>(layers.wal_records));
-    metrics["snapshot.serialize_ms"] = layers.serialize_seconds * 1e3;
+        Ratio(static_cast<double>(counts.wal_record_bytes),
+              static_cast<double>(counts.wal_records));
+    metrics["snapshot.serialize_ms"] =
+        p50(spans.Seconds(Layer::kSerialize, any)) * 1e3;
     // Reconciliation: the share of the client's median latency that the
     // layer calls' medians do not cover (transport, reactor, shard queue).
-    for (int verb = 0; verb < 2; ++verb) {
-      const double explained = Percentile(layers.decode[verb], 0.50) +
-                               Percentile(layers.service[verb], 0.50) +
-                               Percentile(layers.encode[verb], 0.50);
-      const double client = Percentile(
-          verb == 0 ? open->ingest_latency : open->solve_latency, 0.50);
-      metrics[verb == 0 ? "attribution.unexplained_share.ingest"
-                        : "attribution.unexplained_share.solve_cycle"] =
-          client > 0.0 ? 1.0 - explained / client : 0.0;
+    for (const int verb : {kIngest, kSolveCycle}) {
+      const double explained =
+          p50(decode[verb]) + p50(service[verb]) + p50(encode[verb]);
+      const double latency = p50(client[verb]);
+      metrics[verb == kIngest ? "attribution.unexplained_share.ingest"
+                              : "attribution.unexplained_share.solve_cycle"] =
+          latency > 0.0 ? 1.0 - explained / latency : 0.0;
     }
     metrics["loadgen.lag_p99_ms"] = Percentile(open->lag, 0.99) * 1e3;
     metrics["trace.overhead_ratio"] =
         Ratio(WindowedThroughput(closed_traced), WindowedThroughput(*closed));
-    const std::string spans_path = flags.GetString("spans");
-    if (!spans_path.empty() && !spans.WriteTsv(spans_path)) {
-      std::cerr << "perfbench_driver: cannot write " << spans_path << "\n";
-      return 1;
-    }
   }
 
   util::JsonValue::Object phases;
@@ -443,6 +503,15 @@ int Run(int argc, char** argv) {
     p["failed"] = static_cast<double>(phase->failed);
     p["resends"] = static_cast<double>(phase->resends);
     p["seconds"] = phase->seconds;
+    if (!phase->due_latency.empty()) {
+      std::vector<double> latency;
+      for (const auto& [due_ns, seconds] : phase->due_latency) {
+        latency.push_back(seconds);
+      }
+      p["p50_ms"] = Percentile(latency, 0.50) * 1e3;
+      p["p90_ms"] = Percentile(latency, 0.90) * 1e3;
+      p["p99_ms"] = Percentile(latency, 0.99) * 1e3;
+    }
     phases[name] = std::move(p);
   }
   util::JsonValue::Object build;

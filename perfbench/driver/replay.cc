@@ -47,10 +47,6 @@ void Compare(const TenantOutcome& outcome, int tenant, size_t op,
   }
 }
 
-double Seconds(int64_t from_ns, int64_t to_ns) {
-  return static_cast<double>(to_ns - from_ns) * 1e-9;
-}
-
 /// One stream, replayed once for every tenant that sent it.
 struct Group {
   std::vector<int> tenants;
@@ -137,7 +133,7 @@ util::Status ReplayUntraced(const ReplayConfig& config, const Inputs& inputs,
 /// every `wal_batch` records as a shard does per micro-batch.
 util::Status MeasureWal(const ReplayConfig& config, const Inputs& inputs,
                         const std::vector<TenantOutcome>& outcomes,
-                        ReplayLayers* layers, SpanLog* spans) {
+                        ReplayCounts* counts, SpanLog* spans) {
   server::DurabilityOptions options;
   options.data_dir = config.wal_dir;
   options.wal_sync = server::WalSync::kBatch;
@@ -158,23 +154,21 @@ util::Status MeasureWal(const ReplayConfig& config, const Inputs& inputs,
         if (outcomes[t].status[k] != kOk) continue;
         const std::string_view payload =
             inputs.Payload(inputs.tenants[t].ops[k]);
-        layers->wal_record_bytes += static_cast<int64_t>(
+        counts->wal_record_bytes += static_cast<int64_t>(
             server::EncodeWalRecord(++lsn, payload).size());
-        ++layers->wal_records;
+        ++counts->wal_records;
         if (appended >= config.wal_sample) continue;
         const int64_t id = CorrelationId(static_cast<int>(t), k);
         const int64_t a = NowNs();
         RETURN_IF_ERROR(wal.AppendWal(payload).status());
         const int64_t b = NowNs();
         spans->Add(id, Layer::kWalAppend, Layer::kNone, a, b);
-        layers->wal_append.push_back(Seconds(a, b));
         if (++appended % static_cast<size_t>(config.wal_batch) == 0 ||
             appended == config.wal_sample) {
           const int64_t c = NowNs();
           RETURN_IF_ERROR(wal.CommitBatch());
           const int64_t d = NowNs();
           spans->Add(-1, Layer::kWalCommit, Layer::kNone, c, d);
-          layers->wal_commit.push_back(Seconds(c, d));
         }
       }
     }
@@ -184,7 +178,7 @@ util::Status MeasureWal(const ReplayConfig& config, const Inputs& inputs,
 
 util::Status ReplayTraced(const ReplayConfig& config, const Inputs& inputs,
                           const std::vector<TenantOutcome>& outcomes,
-                          ReplayCheck* check, ReplayLayers* layers,
+                          ReplayCheck* check, ReplayCounts* counts,
                           SpanLog* spans) {
   const size_t num_tenants = inputs.tenants.size();
   std::vector<std::unique_ptr<AuditService>> services;
@@ -199,7 +193,6 @@ util::Status ReplayTraced(const ReplayConfig& config, const Inputs& inputs,
     const TenantOutcome& outcome = outcomes[t];
     if (outcome.status[k] != kOk) return util::OkStatus();
     const Op& op = inputs.tenants[t].ops[k];
-    const int verb = op.ingest ? 0 : 1;
     const int64_t id = CorrelationId(static_cast<int>(t), k);
     AuditService& service = *services[t];
 
@@ -235,50 +228,33 @@ util::Status ReplayTraced(const ReplayConfig& config, const Inputs& inputs,
       spans->Add(id, Layer::kServiceCycle, Layer::kNone, c, d);
       Compare(outcome, static_cast<int>(t), k, *report, check);
 
-      double solved = 0.0;
       int64_t offset = c;
       for (const AuditService::CyclePolicy& policy : report->policies) {
         if (timed) {
-          ++layers->timed_policies;
+          ++counts->timed_policies;
           if (policy.source == AuditService::Source::kCache) {
-            ++layers->timed_cache;
+            ++counts->timed_cache;
           } else if (policy.source == AuditService::Source::kWarmSolve) {
-            ++layers->timed_warm;
+            ++counts->timed_warm;
           } else {
-            ++layers->timed_cold;
+            ++counts->timed_cold;
           }
         }
         if (policy.source == AuditService::Source::kCache) continue;
         const solver::SolveStats& stats = policy.result.stats;
-        ++layers->solves;
-        layers->evaluations += stats.evaluations;
-        layers->distinct_evaluations += stats.distinct_evaluations;
-        layers->lp_solves += stats.lp_solves;
-        layers->warm_lp_solves += stats.warm_lp_solves;
-        layers->columns += stats.columns_generated;
-        layers->solve_seconds += stats.seconds;
-        layers->pricing_seconds += stats.pricing_seconds;
-        if (policy.source == AuditService::Source::kColdSolve) {
-          layers->cold_solve.push_back(stats.seconds);
-        } else if (timed) {
-          layers->warm_solve.push_back(stats.seconds);
-        }
+        ++counts->solves;
+        counts->evaluations += stats.evaluations;
+        counts->distinct_evaluations += stats.distinct_evaluations;
         const int64_t solve_ns = static_cast<int64_t>(stats.seconds * 1e9);
-        spans->Add(id, Layer::kSolver, Layer::kServiceCycle, offset,
-                   offset + solve_ns);
-        spans->Add(id, Layer::kPricing, Layer::kSolver, offset,
-                   offset + static_cast<int64_t>(stats.pricing_seconds * 1e9));
+        spans->Add(id,
+                   policy.source == AuditService::Source::kColdSolve
+                       ? Layer::kColdSolve
+                       : Layer::kWarmSolve,
+                   Layer::kServiceCycle, offset, offset + solve_ns);
         offset += solve_ns;
-        solved += stats.seconds;
       }
-      if (timed) layers->cycle_self.push_back(Seconds(c, d) - solved);
     }
     spans->Add(id, Layer::kEncode, Layer::kNone, d, e);
-    if (timed) {
-      layers->decode[verb].push_back(Seconds(a, b));
-      layers->service[verb].push_back(Seconds(c, d));
-      layers->encode[verb].push_back(Seconds(d, e));
-    }
     return util::OkStatus();
   };
 
@@ -295,12 +271,11 @@ util::Status ReplayTraced(const ReplayConfig& config, const Inputs& inputs,
 
   for (const auto& service : services) {
     const auto compile = service->compile_cache_stats();
-    layers->compile_hits += compile.hits;
-    layers->compile_misses += compile.misses;
+    counts->compile_hits += compile.hits;
+    counts->compile_misses += compile.misses;
   }
 
-  // A snapshot body of the whole tenant population, median of three.
-  std::vector<double> serialize;
+  // A snapshot body of the whole tenant population, three times.
   for (int rep = 0; rep < 3; ++rep) {
     util::Serializer writer = util::Serializer::Writer();
     const int64_t a = NowNs();
@@ -310,21 +285,18 @@ util::Status ReplayTraced(const ReplayConfig& config, const Inputs& inputs,
       return util::InternalError("empty snapshot body");
     }
     spans->Add(-1, Layer::kSerialize, Layer::kNone, a, b);
-    serialize.push_back(Seconds(a, b));
   }
-  std::sort(serialize.begin(), serialize.end());
-  layers->serialize_seconds = serialize[1];
 
-  return MeasureWal(config, inputs, outcomes, layers, spans);
+  return MeasureWal(config, inputs, outcomes, counts, spans);
 }
 
 }  // namespace
 
 util::Status Replay(const ReplayConfig& config, const Inputs& inputs,
                     const std::vector<TenantOutcome>& outcomes,
-                    ReplayCheck* check, ReplayLayers* layers, SpanLog* spans) {
+                    ReplayCheck* check, ReplayCounts* counts, SpanLog* spans) {
   if (!config.traced) return ReplayUntraced(config, inputs, outcomes, check);
-  return ReplayTraced(config, inputs, outcomes, check, layers, spans);
+  return ReplayTraced(config, inputs, outcomes, check, counts, spans);
 }
 
 }  // namespace perfbench

@@ -22,16 +22,10 @@ struct ReplayCheck {
   std::string first_mismatch;
 };
 
-/// Layer figures of a traced replay. Per-call times are in seconds; the
-/// "timed" counts cover the open and closed phases, the per-solve counts
-/// every solve the replay ran.
-struct ReplayLayers {
-  std::vector<double> decode[2];   // [0] ingest, [1] solve_cycle
-  std::vector<double> encode[2];
-  std::vector<double> service[2];  // UpdateAlertDistributions, RunCycle
-  std::vector<double> cycle_self;  // RunCycle minus its solves
-  std::vector<double> warm_solve;  // timed phases
-  std::vector<double> cold_solve;  // any phase
+/// Counts of a traced replay; its timings are spans. The "timed" counts
+/// cover the open and closed phases, the per-solve counts every solve the
+/// replay ran.
+struct ReplayCounts {
   int64_t timed_policies = 0;
   int64_t timed_cache = 0;
   int64_t timed_warm = 0;
@@ -39,18 +33,10 @@ struct ReplayLayers {
   int64_t solves = 0;
   int64_t evaluations = 0;
   int64_t distinct_evaluations = 0;
-  int64_t lp_solves = 0;
-  int64_t warm_lp_solves = 0;
-  int64_t columns = 0;
-  double solve_seconds = 0.0;
-  double pricing_seconds = 0.0;
   int64_t compile_hits = 0;
   int64_t compile_misses = 0;
-  std::vector<double> wal_append;
-  std::vector<double> wal_commit;
   int64_t wal_record_bytes = 0;  // every timed op, as WAL records
   int64_t wal_records = 0;
-  double serialize_seconds = 0.0;
 };
 
 struct ReplayConfig {
@@ -71,11 +57,11 @@ struct ReplayConfig {
 /// Replays every op the server applied through the public layer calls
 /// (DecodeBinaryRequest, AuditService, the binary encoders) and compares
 /// each served objective with the replay's. Traced runs also fill
-/// `layers` and `spans`.
+/// `counts` and time each layer call into `spans`.
 auditgame::util::Status Replay(const ReplayConfig& config,
                                const Inputs& inputs,
                                const std::vector<TenantOutcome>& outcomes,
-                               ReplayCheck* check, ReplayLayers* layers,
+                               ReplayCheck* check, ReplayCounts* counts,
                                SpanLog* spans);
 
 }  // namespace perfbench

@@ -2,8 +2,6 @@
 #define PERFBENCH_DRIVER_SPANS_H_
 
 #include <cstdint>
-#include <fstream>
-#include <string>
 #include <vector>
 
 namespace perfbench {
@@ -18,37 +16,20 @@ enum class Layer : uint8_t {
   kDecode,         // server::DecodeBinaryRequest
   kServiceIngest,  // AuditService::UpdateAlertDistributions
   kServiceCycle,   // AuditService::RunCycle
-  kSolver,         // one solve inside RunCycle (SolveStats::seconds)
-  kPricing,        // its pricing rounds (SolveStats::pricing_seconds)
+  kWarmSolve,      // one warm re-solve inside RunCycle (SolveStats::seconds)
+  kColdSolve,      // one cold solve inside RunCycle (SolveStats::seconds)
   kEncode,         // server::EncodeBinary*Response
   kWalAppend,      // ShardPersistence::AppendWal
   kWalCommit,      // ShardPersistence::CommitBatch
   kSerialize,      // snapshot body: StreamState into Serializer::Writer()
 };
 
-inline const char* LayerName(Layer layer) {
-  switch (layer) {
-    case Layer::kNone: return "-";
-    case Layer::kClient: return "client";
-    case Layer::kServerCycle: return "server.cycle";
-    case Layer::kDecode: return "codec.decode";
-    case Layer::kServiceIngest: return "service.ingest";
-    case Layer::kServiceCycle: return "service.cycle";
-    case Layer::kSolver: return "solver.solve";
-    case Layer::kPricing: return "solver.pricing";
-    case Layer::kEncode: return "codec.encode";
-    case Layer::kWalAppend: return "wal.append";
-    case Layer::kWalCommit: return "wal.commit";
-    case Layer::kSerialize: return "snapshot.serialize";
-  }
-  return "?";
-}
-
 /// One timed interval. `request` is the correlation id of the request it
 /// belongs to (-1 for work of no single request, like a WAL group commit);
-/// `parent` is the layer of the enclosing span of the same request. Spans
-/// whose layer reports only a duration (solver phases, the server's cycle
-/// time) are laid out back to back from their parent's start.
+/// `parent` is the layer of the enclosing span of the same request, which
+/// is added just before its children. Spans whose layer reports only a
+/// duration (solves, the server's cycle time) are laid out back to back
+/// from their parent's start.
 struct Span {
   int64_t request = -1;
   int64_t start_ns = 0;
@@ -57,7 +38,8 @@ struct Span {
   Layer parent = Layer::kNone;
 };
 
-/// Spans kept in memory for the whole run and written out at the end.
+/// The traced run's record of every timed interval; the per-layer figures
+/// are computed from it.
 struct SpanLog {
   std::vector<Span> spans;
 
@@ -66,16 +48,25 @@ struct SpanLog {
     spans.push_back(Span{request, start_ns, end_ns, layer, parent});
   }
 
-  /// Tab-separated: request, layer, parent, start_ns, end_ns.
-  bool WriteTsv(const std::string& path) const {
-    std::ofstream out(path);
-    out << "request\tlayer\tparent\tstart_ns\tend_ns\n";
-    for (const Span& s : spans) {
-      out << s.request << '\t' << LayerName(s.layer) << '\t'
-          << LayerName(s.parent) << '\t' << s.start_ns << '\t' << s.end_ns
-          << '\n';
+  /// Seconds spent in each span of `layer` whose request passes `keep`,
+  /// less the time of its child spans (`self` true) or with it (false).
+  template <typename Keep>
+  std::vector<double> Seconds(Layer layer, Keep&& keep,
+                              bool self = false) const {
+    std::vector<double> out;
+    for (size_t i = 0; i < spans.size(); ++i) {
+      const Span& span = spans[i];
+      if (span.layer != layer || !keep(span.request)) continue;
+      int64_t ns = span.end_ns - span.start_ns;
+      for (size_t j = i + 1; self && j < spans.size() &&
+                             spans[j].request == span.request &&
+                             spans[j].parent == layer;
+           ++j) {
+        ns -= spans[j].end_ns - spans[j].start_ns;
+      }
+      out.push_back(static_cast<double>(ns) * 1e-9);
     }
-    return static_cast<bool>(out);
+    return out;
   }
 };
 

@@ -41,14 +41,14 @@ WORKLOADS = {
         "tenants": 256,
         "solves_per_ingest": 10,
         "drift": 0.0,
-        "open_rate": 20000,
+        "open_rate": 5000,
         "closed_rate": 120000,
     },
     "solve-bound": {
         "tenants": 128,
         "solves_per_ingest": 1,
         "drift": 0.05,
-        "open_rate": 700,
+        "open_rate": 300,
         "closed_rate": 1600,
     },
 }
@@ -174,8 +174,6 @@ def driver_args(args, benchmark, server):
         f"--setup_reps={setup_reps}",
         f"--trace={args.trace}",
     ]
-    if args.spans:
-        argv.append(f"--spans={Path(args.spans).resolve()}")
     return argv
 
 
@@ -187,8 +185,6 @@ def main():
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--size", choices=("full", "tiny"), default="full",
                         help="tiny: 8 tenants, 3 cycles a phase (smoke test)")
-    parser.add_argument("--spans", default="",
-                        help="traced run: write every span to this TSV file")
     args = parser.parse_args()
     if args.seed < 1:
         fail("--seed must be at least 1")

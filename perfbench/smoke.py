@@ -25,8 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
 EXACT = ("auditor_loss_mean", "cache.hit_ratio", "wal.bytes_per_op",
          "solver.evaluations_per_solve",
-         "solver.distinct_evaluations_per_solve",
-         "solver.lp_solves_per_solve", "solver.columns_per_solve")
+         "solver.distinct_evaluations_per_solve")
 
 
 def check(condition, message):

@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Steadiness runner: runs workloads K times, each with another seed, and
-prints each metric's median and quartiles.
+prints each end-to-end metric's median and quartiles.
 
     python3 perfbench/steady.py --workload solve-bound --runs 10
-    python3 perfbench/steady.py --runs 10 --out runs.json   # every workload
+    python3 perfbench/steady.py --runs 10        # every workload
 
-The spread of a metric is (Q3 - Q1) / median over the K values, with the
-quartiles of Python's statistics.quantiles(values, n=4). A metric whose
-spread exceeds its bound in BENCHMARK.json is flagged EXCEEDS; one above a
-third of its bound is flagged `wide`. setup_s is reported but, like the
-end-to-end check it mirrors, its spread is not held to its bound. Exits 1
-when a run fails or a spread exceeds its bound.
+Run k uses seed k and BENCHMARK.json's run_seconds. The spread of a metric
+is (Q3 - Q1) / median over the K values, with the quartiles of Python's
+statistics.quantiles(values, n=4). A metric whose spread exceeds its bound
+in BENCHMARK.json is flagged EXCEEDS; one above a third of its bound is
+flagged `wide`. Exits 1 when a run fails or a spread exceeds its bound.
 """
 
 import argparse
@@ -24,12 +23,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_once(workload, seed, seconds, trace):
+def run_once(workload, seed, seconds):
     start = time.monotonic()
     result = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"),
          "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--seconds", str(seconds), "--trace", "0"],
         cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         text=True)
     wall = time.monotonic() - start
@@ -42,23 +41,22 @@ def run_once(workload, seed, seconds, trace):
 def summarize(workload, runs, metrics):
     ok = True
     print(f"\n{workload}: {len(runs)} runs")
-    print(f"  {'metric':<44}{'median':>12}{'Q1':>12}{'Q3':>12}{'spread':>9}"
+    print(f"  {'metric':<24}{'median':>12}{'Q1':>12}{'Q3':>12}{'spread':>9}"
           f"{'bound':>7}")
     for metric in metrics:
         name = metric["name"]
+        bound = metric["bound"]
         values = [r["metrics"][name]["value"] for r in runs]
         q1, median, q3 = statistics.quantiles(values, n=4)
         spread = (q3 - q1) / abs(median) if median else float("inf")
-        bound = metric.get("bound")
         flag = ""
-        if bound is not None and name != "setup_s":
-            if spread > bound:
-                flag = "EXCEEDS"
-                ok = False
-            elif spread > bound / 3:
-                flag = "wide"
-        print(f"  {name:<44}{median:>12.6g}{q1:>12.6g}{q3:>12.6g}"
-              f"{spread:>9.4f}{'' if bound is None else bound:>7} {flag}")
+        if spread > bound:
+            flag = "EXCEEDS"
+            ok = False
+        elif spread > bound / 3:
+            flag = "wide"
+        print(f"  {name:<24}{median:>12.6g}{q1:>12.6g}{q3:>12.6g}"
+              f"{spread:>9.4f}{bound:>7} {flag}")
     return ok
 
 
@@ -67,27 +65,18 @@ def main():
     parser.add_argument("--workload", action="append",
                         help="repeatable; default: every workload")
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--first_seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="default: BENCHMARK.json run_seconds")
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--out", default="", help="write every run here")
     args = parser.parse_args()
     if args.runs < 2:
         parser.error("--runs must be at least 2")
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or benchmark["run_seconds"]
-    metrics = benchmark["per_layer" if args.trace else "end_to_end"]
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
 
     all_ok = True
-    record = {}
     for workload in workloads:
         runs = []
-        for i in range(args.runs):
-            seed = args.first_seed + i
-            result, wall = run_once(workload, seed, seconds, args.trace)
+        for seed in range(1, args.runs + 1):
+            result, wall = run_once(workload, seed, benchmark["run_seconds"])
             status = "ok" if result and result["correct"] else "FAILED"
             print(f"{workload} seed {seed}: {status} in {wall:.1f} s",
                   flush=True)
@@ -95,13 +84,11 @@ def main():
                 all_ok = False
                 continue
             runs.append(result)
-        record[workload] = runs
         if len(runs) >= 2:
-            all_ok = summarize(workload, runs, metrics) and all_ok
+            all_ok = summarize(workload, runs, benchmark["end_to_end"]) \
+                and all_ok
         else:
             all_ok = False
-    if args.out:
-        Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     sys.exit(0 if all_ok else 1)
 
 
