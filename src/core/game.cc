@@ -42,6 +42,12 @@ util::Status GameInstance::Validate() const {
   if (static_cast<int>(alert_distributions.size()) != t) {
     return util::InvalidArgumentError("alert_distributions size mismatch");
   }
+  for (const prob::CountDistribution& dist : alert_distributions) {
+    // A default-constructed distribution is only a restore placeholder.
+    if (dist.support_size() == 0) {
+      return util::InvalidArgumentError("empty alert distribution");
+    }
+  }
   for (double c : audit_costs) {
     if (!(c > 0) || !std::isfinite(c)) {
       return util::InvalidArgumentError("audit costs must be positive");

@@ -29,10 +29,11 @@ util::Status AuditService::UpdateAlertDistributions(
   util::Status valid = instance_.Validate();
   if (!valid.ok()) {
     // Roll back: a rejected update must leave the service serving the
-    // previous distributions.
+    // previous distributions (and so keeps their cache keys).
     std::swap(instance_.alert_distributions, distributions);
     return valid;
   }
+  base_keys_.clear();
   return util::OkStatus();
 }
 
@@ -70,6 +71,12 @@ util::StatusOr<AuditService::CycleReport> AuditService::RunCycle() {
   CycleReport report;
   report.cycle = ++cycles_run_;
   report.policies.resize(options_.budgets.size());
+  if (base_keys_.empty()) {
+    base_keys_.reserve(options_.budgets.size());
+    for (double budget : options_.budgets) {
+      base_keys_.push_back(FingerprintRequest(BaseRequest(budget)));
+    }
+  }
 
   // Pass 1: serve fingerprint hits from the cache; queue the rest as one
   // engine batch (the workers then share the compile cache, and any other
@@ -91,8 +98,7 @@ util::StatusOr<AuditService::CycleReport> AuditService::RunCycle() {
                        : MeasureDrift(last->second.distributions,
                                       instance_.alert_distributions);
 
-    solver::EngineRequest request = BaseRequest(budget);
-    const util::Fingerprint key = FingerprintRequest(request);
+    const util::Fingerprint& key = base_keys_[i];
     if (std::optional<solver::SolveResult> cached = cache_.Lookup(key)) {
       policy.source = Source::kCache;
       ++served_from_cache_;
@@ -104,6 +110,7 @@ util::StatusOr<AuditService::CycleReport> AuditService::RunCycle() {
       continue;
     }
 
+    solver::EngineRequest request = BaseRequest(budget);
     // warm_start_max_drift = 0 disables warm solves outright (the
     // documented only-cold-results-cached mode) — without the > 0 guard a
     // zero-drift re-solve after a cache eviction would still warm-start.
@@ -185,6 +192,9 @@ util::Fingerprint FingerprintServiceConfig(const AuditServiceOptions& options) {
 
 void AuditService::StreamState(util::Serializer& s) {
   s.Section("audit_service", 1);
+  // A restore replaces the instance, so its keys are recomputed on the
+  // next cycle.
+  if (s.reading()) base_keys_.clear();
   s.Object(instance_);
   s.I64(cycles_run_);
   s.I64(served_from_cache_);

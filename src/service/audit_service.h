@@ -69,7 +69,10 @@ util::Fingerprint FingerprintServiceConfig(const AuditServiceOptions& options);
 /// (float-rounding level on Syn A) — so serving it on an exact revisit
 /// trades a provably-searched-the-same-space guarantee for an
 /// order-of-magnitude latency win. Deployments that want only cold results
-/// cached can set `warm_start_max_drift = 0`.
+/// cached can set `warm_start_max_drift = 0`. The base keys are computed
+/// once per instance — on the first cycle after construction, an accepted
+/// update or a restore — and reused by every later cycle: hashing the game
+/// would otherwise be most of a cache-hit cycle's cost.
 ///
 /// Threading: RunCycle() fans its solves across the internal SolverEngine,
 /// but the service object itself is a single-writer loop — call
@@ -175,6 +178,10 @@ class AuditService {
   core::GameInstance instance_;
   solver::SolverEngine engine_;
   PolicyCache cache_;
+  /// Cache key of each budget's base request under instance_, aligned with
+  /// options_.budgets. Filled by RunCycle() when empty and cleared whenever
+  /// instance_ changes (accepted update, restore).
+  std::vector<util::Fingerprint> base_keys_;
   /// Previous solved state per budget: warm-start seed + drift baseline.
   std::map<double, LastSolve> last_solves_;
   int64_t cycles_run_ = 0;

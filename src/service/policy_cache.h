@@ -29,7 +29,10 @@ namespace auditgame::service {
 /// AuditService deliberately fingerprints the *base* (cold) request before
 /// applying its per-cycle warm-start overrides, so a warm re-solve is
 /// cached under the configuration's key; see AuditService for why that is
-/// sound.
+/// sound. It calls this once per instance change, not once per cycle, and
+/// reuses the keys until the next one. Keys are persisted in snapshots
+/// (PolicyCache::StreamState), so the bytes hashed here are a stable
+/// format: changing them turns every restored cache into misses.
 util::Fingerprint FingerprintRequest(const solver::EngineRequest& request);
 
 /// Thread-safe LRU cache of solved policies, keyed by request fingerprint.

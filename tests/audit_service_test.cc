@@ -7,6 +7,7 @@
 
 #include "data/syn_a.h"
 #include "tests/test_util.h"
+#include "util/serializer.h"
 
 namespace auditgame::service {
 namespace {
@@ -41,6 +42,23 @@ std::vector<prob::CountDistribution> Perturb(
                                                     std::move(pmf)));
   }
   return out;
+}
+
+// Every policy of `cycle` is a cache hit, bit-identical to `expected`'s.
+void ExpectServedFromCache(const AuditService::CycleReport& cycle,
+                           const AuditService::CycleReport& expected) {
+  ASSERT_EQ(cycle.policies.size(), expected.policies.size());
+  for (size_t i = 0; i < cycle.policies.size(); ++i) {
+    const auto& got = cycle.policies[i];
+    const auto& want = expected.policies[i];
+    EXPECT_EQ(got.source, Source::kCache);
+    EXPECT_EQ(got.budget, want.budget);
+    EXPECT_EQ(got.result.objective, want.result.objective);
+    EXPECT_EQ(got.result.thresholds, want.result.thresholds);
+    EXPECT_EQ(got.result.policy.orderings, want.result.policy.orderings);
+    EXPECT_EQ(got.result.policy.probabilities,
+              want.result.policy.probabilities);
+  }
 }
 
 TEST(AuditServiceTest, FirstCycleIsColdSecondIsIdenticalCacheHit) {
@@ -159,6 +177,76 @@ TEST(AuditServiceTest, RejectsMismatchedDistributionUpdate) {
   // Rejected updates leave the served distributions untouched.
   EXPECT_EQ(service.instance().alert_distributions.size(), before.size());
   EXPECT_TRUE(service.RunCycle().ok());
+}
+
+TEST(AuditServiceTest, RejectedUpdatesKeepServingTheCachedPolicies) {
+  AuditService service(testutil::MakeMediumGame(), FastOptions());
+  ASSERT_TRUE(service.RunCycle().ok());
+  ASSERT_TRUE(service
+                  .UpdateAlertDistributions(
+                      Perturb(service.instance().alert_distributions, 0.1))
+                  .ok());
+  const auto served = service.RunCycle();
+  ASSERT_TRUE(served.ok()) << served.status();
+
+  // Wrong type count: rejected before the instance is touched.
+  ASSERT_FALSE(service
+                   .UpdateAlertDistributions(
+                       {prob::CountDistribution::Constant(2)})
+                   .ok());
+  const auto after_wrong_size = service.RunCycle();
+  ASSERT_TRUE(after_wrong_size.ok()) << after_wrong_size.status();
+  ExpectServedFromCache(*after_wrong_size, *served);
+
+  // Right count, but the instance fails validation: rolled back.
+  auto invalid = service.instance().alert_distributions;
+  invalid[1] = prob::CountDistribution();
+  ASSERT_FALSE(service.UpdateAlertDistributions(invalid).ok());
+  const auto after_rollback = service.RunCycle();
+  ASSERT_TRUE(after_rollback.ok()) << after_rollback.status();
+  ExpectServedFromCache(*after_rollback, *served);
+}
+
+TEST(AuditServiceTest, ReingestingIdenticalDistributionsHitsTheCache) {
+  AuditService service(testutil::MakeMediumGame(), FastOptions());
+  const auto first = service.RunCycle();
+  ASSERT_TRUE(first.ok()) << first.status();
+  const auto same = service.instance().alert_distributions;
+  ASSERT_TRUE(service.UpdateAlertDistributions(same).ok());
+  const auto second = service.RunCycle();
+  ASSERT_TRUE(second.ok()) << second.status();
+  ExpectServedFromCache(*second, *first);
+}
+
+// A restore replaces the instance, so a service that already served (and
+// keyed) another instance must key the restored one afresh: with stale
+// keys it would serve the pre-restore instance's policies.
+TEST(AuditServiceTest, RestoreAfterServingKeysTheRestoredInstance) {
+  const core::GameInstance base = testutil::MakeMediumGame();
+  AuditService source(base, FastOptions());
+  const auto base_cycle = source.RunCycle();
+  ASSERT_TRUE(base_cycle.ok()) << base_cycle.status();
+  ASSERT_TRUE(source
+                  .UpdateAlertDistributions(
+                      Perturb(base.alert_distributions, 0.3))
+                  .ok());
+  const auto drifted_cycle = source.RunCycle();
+  ASSERT_TRUE(drifted_cycle.ok()) << drifted_cycle.status();
+  ASSERT_NE(drifted_cycle->policies[0].result.objective,
+            base_cycle->policies[0].result.objective);
+  util::Serializer writer = util::Serializer::Writer();
+  source.StreamState(writer);
+
+  AuditService restored(base, FastOptions());
+  ASSERT_TRUE(restored.RunCycle().ok());
+  util::Serializer reader = util::Serializer::Reader(writer.buffer());
+  restored.StreamState(reader);
+  reader.ExpectExhausted();
+  ASSERT_TRUE(reader.ok()) << reader.status();
+
+  const auto cycle = restored.RunCycle();
+  ASSERT_TRUE(cycle.ok()) << cycle.status();
+  ExpectServedFromCache(*cycle, *drifted_cycle);
 }
 
 TEST(AuditServiceTest, MeasureDriftIsMaxTotalVariation) {

@@ -26,6 +26,12 @@ TEST(GameInstanceTest, RejectsSizeMismatches) {
   EXPECT_FALSE(instance.Validate().ok());
 }
 
+TEST(GameInstanceTest, RejectsEmptyAlertDistribution) {
+  GameInstance instance = MakeTinyGame();
+  instance.alert_distributions[1] = prob::CountDistribution();
+  EXPECT_FALSE(instance.Validate().ok());
+}
+
 TEST(GameInstanceTest, RejectsNonPositiveAuditCost) {
   GameInstance instance = MakeTinyGame();
   instance.audit_costs[0] = 0.0;

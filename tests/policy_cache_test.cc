@@ -148,6 +148,28 @@ TEST(FingerprintTest, SearchConfigurationChangesTheKey) {
   EXPECT_NE(key, FingerprintRequest(other));
 }
 
+// Cache keys are persisted (PolicyCache::StreamState writes them into every
+// snapshot), so their bytes are a stable format: a change that moved them
+// would silently turn every restored cache into misses. These golden values
+// pin the key derivation; update them only together with a snapshot format
+// change.
+TEST(FingerprintTest, KeysMatchGoldenValues) {
+  const core::GameInstance medium = MakeMediumGame();
+  EXPECT_EQ(core::FingerprintGame(medium).ToHex(),
+            "7a50e8cf76304b00bdbdb11005253c10");
+
+  solver::EngineRequest request;
+  request.solver = "ishm-cggs";
+  request.instance = &medium;
+  request.budget = 6.5;
+  request.options.ishm.step_size = 0.2;
+  request.options.ishm.max_subset_size = 2;
+  request.options.cggs.max_columns = 64;
+  request.options.cggs.seed = 11;
+  EXPECT_EQ(FingerprintRequest(request).ToHex(),
+            "f9b9e9ff4a83338b17c006bda6a1b45b");
+}
+
 TEST(PolicyCacheTest, LookupInsertAndStats) {
   PolicyCache cache(4);
   const core::GameInstance tiny = MakeTinyGame();
