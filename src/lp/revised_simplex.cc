@@ -36,6 +36,14 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // bit-identical across kernel backends; Btran substitutes against a
 // transposed copy of the LU factors refreshed at each factorization, which
 // turns its column-strided traversal into contiguous kernel dots.
+//
+// Slack-basis path: while the factorized basis is the all-logical basis
+// (every cold start, until the first refactorization after a pivot), B = I
+// and Factorize builds no LU at all; Ftran and Btran apply only the eta
+// file. The skipped substitutions would compute w[k] - Dot(zero row, w) and
+// divide by a unit diagonal. On finite data that Dot is +0.0 (its lanes
+// start at +0.0, and +0.0 + -0.0 is +0.0), and x - (+0.0) and x / 1.0 are
+// exact for every finite x, -0.0 included, so skipping them changes no bit.
 class Engine {
  public:
   Engine(const LpModel& model, const SimplexSolver::Options& options)
@@ -297,6 +305,11 @@ class Engine {
 
   bool Factorize() {
     etas_.clear();
+    slack_basis_ = true;
+    for (int k = 0; k < m_ && slack_basis_; ++k) {
+      slack_basis_ = basic_[k] == ns_ + k;
+    }
+    if (slack_basis_) return true;  // B = I; see "Slack-basis path" above
     lu_.assign(static_cast<size_t>(m_) * m_, 0.0);
     for (int k = 0; k < m_; ++k) {
       const int col = basic_[k];
@@ -356,18 +369,23 @@ class Engine {
   // position. `v` and `w` must be distinct buffers.
   void Ftran(const util::ArenaVector<double>& v,
              util::ArenaVector<double>& w) const {
-    w.resize(static_cast<size_t>(m_));
-    for (int k = 0; k < m_; ++k) w[k] = v[perm_[k]];
-    for (int k = 1; k < m_; ++k) {
-      // Forward substitution: L rows are contiguous prefixes of lu_ rows.
-      w[k] -= math::Dot(&lu_[static_cast<size_t>(k) * m_], w.data(),
-                        static_cast<size_t>(k));
-    }
-    for (int k = m_ - 1; k >= 0; --k) {
-      const double sum =
-          w[k] - math::Dot(&lu_[static_cast<size_t>(k) * m_ + k + 1],
-                           w.data() + k + 1, static_cast<size_t>(m_ - k - 1));
-      w[k] = sum / Lu(k, k);
+    if (slack_basis_) {
+      w.assign(v.begin(), v.end());
+    } else {
+      w.resize(static_cast<size_t>(m_));
+      for (int k = 0; k < m_; ++k) w[k] = v[perm_[k]];
+      for (int k = 1; k < m_; ++k) {
+        // Forward substitution: L rows are contiguous prefixes of lu_ rows.
+        w[k] -= math::Dot(&lu_[static_cast<size_t>(k) * m_], w.data(),
+                          static_cast<size_t>(k));
+      }
+      for (int k = m_ - 1; k >= 0; --k) {
+        const double sum =
+            w[k] - math::Dot(&lu_[static_cast<size_t>(k) * m_ + k + 1],
+                             w.data() + k + 1,
+                             static_cast<size_t>(m_ - k - 1));
+        w[k] = sum / Lu(k, k);
+      }
     }
     for (size_t e = 0; e < etas_.size(); ++e) {
       const Eta& eta = etas_[e];
@@ -385,6 +403,10 @@ class Engine {
       const double dot =
           math::Dot(c.data(), eta.d, static_cast<size_t>(m_));
       c[eta.r] = (c[eta.r] - (dot - c[eta.r] * eta.d[eta.r])) / eta.d[eta.r];
+    }
+    if (slack_basis_) {
+      y.assign(c.begin(), c.end());
+      return;
     }
     work_v_.resize(static_cast<size_t>(m_));
     util::ArenaVector<double>& a = work_v_;
@@ -716,6 +738,9 @@ class Engine {
   util::ArenaVector<int> basic_;         // basis position -> column
   util::ArenaVector<double> x_;          // per column
 
+  // Set by Factorize when the basis is all-logical (B = I). While it is
+  // set, lu_, lut_ and perm_ hold stale factors (or none) and are not read.
+  bool slack_basis_ = false;
   util::ArenaVector<double> lu_;   // packed L (unit lower) / U factors of B
   util::ArenaVector<double> lut_;  // transposed factors, for Btran
   util::ArenaVector<int> perm_;    // row permutation of the factorization

@@ -18,9 +18,10 @@ namespace auditgame::math {
 ///   total    = (lane[0] + lane[1]) + (lane[2] + lane[3])
 ///
 /// spelled out with four scalar accumulators. No FMA is ever used (fused
-/// rounding would change the bits). Element-wise kernels (axpy, scale) have
-/// one rounding per element. See docs/DESIGN.md "Numeric kernels and
-/// arenas".
+/// rounding would change the bits; the build passes -ffp-contract=off so
+/// FMA-capable targets do not contract the mul+add pairs). Element-wise
+/// kernels (axpy, scale) have one rounding per element. See docs/DESIGN.md
+/// "Numeric kernels and arenas".
 ///
 /// The blocked order is the canonical semantics of the library: results
 /// differ from a naive left-to-right sum by the usual reassociation ULPs,

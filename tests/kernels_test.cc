@@ -107,6 +107,33 @@ TEST(KernelsTest, ElementwiseKernelsRoundOncePerElement) {
   }
 }
 
+// a * b = 1 - 2^-60 exactly, which rounds to 1.0; c = -1. Rounded twice,
+// a * b + c is 0. A fused multiply-add rounds once and yields -2^-60, so
+// a build that lets the compiler contract the kernels' multiply-add pairs
+// (an FMA target without -ffp-contract=off) fails here. The reference
+// forces the product through a volatile, which no compiler can fuse.
+TEST(KernelsTest, NoFusedMultiplyAdd) {
+  const double a = 1.0 + 0x1p-30;
+  const double b = 1.0 - 0x1p-30;
+  const double c = -1.0;
+  volatile double product = a * b;
+  const double expected = c + product;
+  ASSERT_EQ(expected, 0.0);
+  ASSERT_NE(std::fma(a, b, c), expected);
+
+  // Elements 0 and 4 share lane 0: the lane holds c, then adds a * b.
+  const std::vector<double> x = {c, 0.0, 0.0, 0.0, a};
+  const std::vector<double> y = {1.0, 0.0, 0.0, 0.0, b};
+  EXPECT_TRUE(SameBits(Dot(x.data(), y.data(), x.size()), expected));
+
+  std::vector<double> acc(9, c);
+  const std::vector<double> bs(9, b);
+  Axpy(a, bs.data(), acc.data(), acc.size());
+  for (size_t i = 0; i < acc.size(); ++i) {
+    EXPECT_TRUE(SameBits(acc[i], expected)) << "i=" << i;
+  }
+}
+
 TEST(KernelsTest, ConvolveShiftSaturateMatchesDefinition) {
   for (size_t n : {1u, 4u, 9u, 33u, 128u}) {
     for (size_t shift : {size_t{0}, size_t{1}, n / 2, n - 1, n}) {

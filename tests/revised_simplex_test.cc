@@ -1,6 +1,10 @@
 #include "lp/revised_simplex.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -318,6 +322,139 @@ TEST_P(BackendAgreementTest, DenseAndRevisedAgreeOnRandomBoundedLps) {
 
 INSTANTIATE_TEST_SUITE_P(RandomLps, BackendAgreementTest,
                          ::testing::Range(0, 100));
+
+// ---- Cold-solve bit patterns ---------------------------------------------
+
+// Hex bit patterns of the objective, then the primal values, then the
+// duals, separated by " | ". Bit-for-bit, so a change to the arithmetic of
+// a solve (the order of a reduction, a fused multiply-add, a skipped step
+// that is not exact) shows up here even when the values still agree to
+// every tolerance.
+std::string SolutionBitsHex(const LpSolution& solution) {
+  auto hex = [](double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    char buffer[17];
+    std::snprintf(buffer, sizeof(buffer), "%016llx",
+                  static_cast<unsigned long long>(bits));
+    return std::string(buffer);
+  };
+  std::string out = hex(solution.objective);
+  out += " |";
+  for (double v : solution.primal) out += " " + hex(v);
+  out += " |";
+  for (double v : solution.dual) out += " " + hex(v);
+  return out;
+}
+
+struct ColdSolveGolden {
+  uint64_t seed;
+  int n;
+  int m;
+  int refactor_interval;
+  const char* bits;
+};
+
+// Cold solves start from the all-logical (slack) basis; these pin their
+// results bit for bit on LPs that pivot in both phases. The last one
+// refactorizes every 3 pivots, so it also pins solves that leave the
+// all-logical basis mid-solve.
+TEST(RevisedSimplexTest, ColdSolvesMatchGoldenBits) {
+  const ColdSolveGolden goldens[] = {
+      {17, 6, 4, 64,
+       "c048b039c8c90ad5 | 404681152bc0e21c 401611f445f4d70d "
+       "3ff06dd198c19aee 0000000000000000 4048f274d2e2d418 "
+       "3ff434994b56e6ea | 3cf8fbca7f9b4bc8 403752109695e853 "
+       "c002cfab54649570 c0361af6cc0feafe"},
+      {23, 7, 6, 64,
+       "c03251b2221d1ea9 | 4018000000000000 4014f37dba9dd7de "
+       "0000000000000000 4018000000000000 c02071ec819c1fbf "
+       "3fe0a912ff93e13e bff46f2876419dc4 | 3fdf7c9fba4b2ce7 "
+       "bfe086157af20497 bfdae80b32ab8e41 3fd6e42fcc4b5431 "
+       "bcac62eda7a23e8f 3cc6976274120220"},
+      {31, 8, 5, 64,
+       "c012bde4eda4887e | c000000000000000 40121b6229c63f0b "
+       "bfc205ea3fb4cf3c 0000000000000000 bfee4aa26a839992 "
+       "0000000000000000 4004d2d3681fdea0 3fe6cb8707ca47f8 | "
+       "0000000000000000 bfa4ed924e8c45f0 bfbcb26c0d11cce5 "
+       "3fba0720222f5333 0000000000000000"},
+      {37, 12, 10, 3,
+       "c04d71303359726a | 402f77c2638852fb 400a88cbd4337edc "
+       "40007889c7f9c5a7 4018000000000000 c00867e971cad1ac "
+       "c01907efa2f7570c bfe820f14c695d28 400fc471cae47fe4 "
+       "400904d723949105 401205fba8d1ab0a 402cc80cde76f65b "
+       "c000000000000000 | bff3e4402f9c129b 0000000000000000 "
+       "bfe3dcfe1aedcd28 3ff17cf3cf049edf 0000000000000000 "
+       "0000000000000000 bfe28a4a2a111659 c0005ebebab3b3c3 "
+       "bfe230f7f9acc493 3ca8000000000000"},
+  };
+  for (const ColdSolveGolden& golden : goldens) {
+    const LpModel model = RandomBoundedLp(golden.seed, golden.n, golden.m);
+    SimplexSolver::Options options;
+    options.refactor_interval = golden.refactor_interval;
+    const auto cold = RevisedSimplex::Solve(model, options, nullptr);
+    ASSERT_TRUE(cold.ok()) << cold.status();
+    ASSERT_EQ(cold->solution.status, SolveStatus::kOptimal)
+        << "seed " << golden.seed;
+    EXPECT_GT(cold->solution.phase1_iterations, 0) << "seed " << golden.seed;
+    EXPECT_GT(cold->solution.phase2_iterations, 0) << "seed " << golden.seed;
+    EXPECT_EQ(SolutionBitsHex(cold->solution), golden.bits)
+        << "seed " << golden.seed;
+  }
+}
+
+// A short refactorization interval makes the solve leave the all-logical
+// basis at its first refactorization and run on real LU factors after it.
+TEST(RevisedSimplexTest, ColdSolveThroughManyRefactorizationsMatchesDense) {
+  SimplexSolver::Options options;
+  options.refactor_interval = 2;
+  for (uint64_t seed : {3u, 4u, 5u, 6u}) {
+    const LpModel model = RandomBoundedLp(seed, 24, 18);
+    const LpSolution dense = SolveDenseOrDie(model);
+    ASSERT_EQ(dense.status, SolveStatus::kOptimal) << "seed " << seed;
+    const auto revised = RevisedSimplex::Solve(model, options, nullptr);
+    ASSERT_TRUE(revised.ok()) << revised.status();
+    ASSERT_EQ(revised->solution.status, SolveStatus::kOptimal)
+        << "seed " << seed;
+    EXPECT_GT(revised->solution.phase1_iterations +
+                  revised->solution.phase2_iterations,
+              4 * options.refactor_interval)
+        << "seed " << seed;
+    EXPECT_NEAR(revised->solution.objective, dense.objective,
+                1e-9 * (1.0 + std::fabs(dense.objective)))
+        << "seed " << seed;
+    const auto check = CheckOptimality(model, revised->solution);
+    EXPECT_TRUE(check.ok()) << "seed " << seed << ": " << check.ToString();
+  }
+}
+
+// A snapshot that makes every logical basic is the cold start's basis, so
+// resuming from it must reproduce the cold solve bit for bit.
+TEST(RevisedSimplexTest, AllLogicalWarmStartIsBitIdenticalToCold) {
+  for (uint64_t seed : {17u, 23u, 31u, 41u}) {
+    const LpModel model = RandomBoundedLp(seed, 8, 6);
+    Basis slack;
+    // kAtLower everywhere: columns without a finite lower bound are
+    // repaired to their default resting bound, as on a cold start.
+    slack.structural.assign(static_cast<size_t>(model.num_variables()),
+                            VarStatus::kAtLower);
+    slack.logical.assign(static_cast<size_t>(model.num_constraints()),
+                         VarStatus::kBasic);
+    const RevisedSolution cold = SolveRevisedOrDie(model);
+    const RevisedSolution warm = SolveRevisedOrDie(model, &slack);
+    ASSERT_EQ(warm.solution.status, cold.solution.status) << "seed " << seed;
+    EXPECT_EQ(warm.solution.phase1_iterations,
+              cold.solution.phase1_iterations)
+        << "seed " << seed;
+    EXPECT_EQ(warm.solution.phase2_iterations,
+              cold.solution.phase2_iterations)
+        << "seed " << seed;
+    EXPECT_EQ(SolutionBitsHex(warm.solution), SolutionBitsHex(cold.solution))
+        << "seed " << seed;
+    EXPECT_EQ(warm.basis.structural, cold.basis.structural) << "seed " << seed;
+    EXPECT_EQ(warm.basis.logical, cold.basis.logical) << "seed " << seed;
+  }
+}
 
 }  // namespace
 }  // namespace auditgame::lp
