@@ -1,8 +1,5 @@
 #include "net/channel.h"
 
-#include <errno.h>
-#include <sys/socket.h>
-
 #include <algorithm>
 #include <utility>
 
@@ -12,7 +9,6 @@ namespace {
 /// Idle loop granularity: bounds how stale the shutdown flag and delayed-
 /// frame due times can get if a wake notification is lost.
 constexpr int kPumpPollMs = 250;
-constexpr size_t kReadChunk = 64 * 1024;
 
 int MillisUntil(std::chrono::steady_clock::time_point now,
                 std::chrono::steady_clock::time_point when) {
@@ -47,10 +43,8 @@ util::Status FrameChannel::Start() {
     return util::FailedPreconditionError("already started");
   }
   ASSIGN_OR_RETURN(wake_, WakeChannel::Make());
-  if (!MakePoller(options_.poller_backend)) {
-    return util::InvalidArgumentError(
-        "requested poller backend unavailable on this platform");
-  }
+  ASSIGN_OR_RETURN(poller_, Poller::Create());
+  RETURN_IF_ERROR(poller_.Watch(wake_.fd(), /*read=*/true, /*write=*/false));
   thread_ = std::thread([this] { Run(); });
   return util::OkStatus();
 }
@@ -123,16 +117,16 @@ void FrameChannel::DropOutstanding() {
   }
   pending_.clear();
   in_flight_.clear();
-  write_buffer_.clear();
   dropped_on_disconnect_.fetch_add(static_cast<int64_t>(dropped),
                                    std::memory_order_relaxed);
 }
 
 void FrameChannel::Run() {
-  auto poller = MakePoller(options_.poller_backend);
-  if (!poller) return;  // checked in Start(); kDefault never fails
-  poller->Watch(wake_.read_fd(), /*read=*/true, /*write=*/false);
-
+  // The window bounds the frames on the wire, so it bounds the unsent
+  // bytes too: this cap is never reached by frames within the payload cap.
+  const size_t max_write_buffer =
+      static_cast<size_t>(options_.window) *
+      (options_.max_frame_payload + kFrameHeaderBytes);
   int backoff_ms = options_.reconnect_backoff_min_ms;
   for (;;) {
     {
@@ -142,10 +136,10 @@ void FrameChannel::Run() {
     auto socket = ConnectTcp(host_, port_);
     if (!socket.ok()) {
       // Backoff, interruptible by BeginShutdown's wake.
-      auto events = poller->Wait(backoff_ms);
+      auto events = poller_.Wait(backoff_ms);
       if (events.ok()) {
         for (const PollEvent& event : *events) {
-          if (event.fd == wake_.read_fd()) wake_.Drain();
+          if (event.fd == wake_.fd()) wake_.Drain();
         }
       }
       backoff_ms =
@@ -163,7 +157,10 @@ void FrameChannel::Run() {
     up_.store(true, std::memory_order_release);
     if (events_.on_state) events_.on_state(true);
 
-    PumpConnection(std::move(*socket), *poller);
+    Connection conn(std::move(*socket), options_.max_frame_payload,
+                    max_write_buffer);
+    PumpConnection(conn);
+    poller_.Forget(conn.fd());
 
     up_.store(false, std::memory_order_release);
     bool shutting_down;
@@ -181,15 +178,13 @@ void FrameChannel::Run() {
   }
 }
 
-void FrameChannel::PumpConnection(Socket socket, Poller& poller) {
-  FrameDecoder decoder(options_.max_frame_payload);
-  poller.Watch(socket.fd(), /*read=*/true, /*write=*/false);
+void FrameChannel::PumpConnection(Connection& conn) {
+  // A descriptor the poller refuses can never report: a dead connection.
+  if (!poller_.Watch(conn.fd(), /*read=*/true, /*write=*/false).ok()) return;
   bool write_interest = false;
   std::vector<std::string> received;
 
   for (;;) {
-    bool dead = false;
-
     // Intake: adopt fresh submissions and due retries under the lock, and
     // learn the next retry due time and the shutdown flag while there.
     std::chrono::steady_clock::time_point next_due{};
@@ -197,10 +192,7 @@ void FrameChannel::PumpConnection(Socket socket, Poller& poller) {
     const auto now = std::chrono::steady_clock::now();
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (shutdown_) {
-        poller.Forget(socket.fd());
-        return;
-      }
+      if (shutdown_) return;
       while (!inbox_.empty()) {
         pending_.push_back(std::move(inbox_.front()));
         inbox_.pop_front();
@@ -223,30 +215,17 @@ void FrameChannel::PumpConnection(Socket socket, Poller& poller) {
     // Top up the wire to the window and flush what the socket accepts.
     while (in_flight_.size() < static_cast<size_t>(options_.window) &&
            !pending_.empty()) {
-      write_buffer_ += EncodeFrame(pending_.front());
+      if (!conn.QueueFrame(pending_.front())) return;
       pending_.pop_front();
       in_flight_.push_back(now);
       frames_sent_.fetch_add(1, std::memory_order_relaxed);
     }
-    while (!write_buffer_.empty()) {
-      const ssize_t n = ::send(socket.fd(), write_buffer_.data(),
-                               write_buffer_.size(), MSG_NOSIGNAL);
-      if (n > 0) {
-        write_buffer_.erase(0, static_cast<size_t>(n));
-        continue;
+    if (!conn.Flush()) return;
+    if (conn.wants_write() != write_interest) {
+      write_interest = conn.wants_write();
+      if (!poller_.Watch(conn.fd(), /*read=*/true, write_interest).ok()) {
+        return;
       }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      if (n < 0 && errno == EINTR) continue;
-      dead = true;
-      break;
-    }
-    if (dead) {
-      poller.Forget(socket.fd());
-      return;
-    }
-    if (write_buffer_.empty() == write_interest) {
-      write_interest = !write_buffer_.empty();
-      poller.Watch(socket.fd(), /*read=*/true, write_interest);
     }
 
     int timeout_ms = kPumpPollMs;
@@ -258,43 +237,21 @@ void FrameChannel::PumpConnection(Socket socket, Poller& poller) {
     }
     if (have_due) timeout_ms = std::min(timeout_ms, MillisUntil(now, next_due));
 
-    auto events = poller.Wait(timeout_ms);
-    if (!events.ok()) {
-      poller.Forget(socket.fd());
-      return;
-    }
+    auto events = poller_.Wait(timeout_ms);
+    if (!events.ok()) return;
+    bool dead = false;
     received.clear();
     for (const PollEvent& event : *events) {
-      if (event.fd == wake_.read_fd()) {
+      if (event.fd == wake_.fd()) {
         wake_.Drain();
         continue;
       }
-      if (event.fd != socket.fd()) continue;
+      if (event.fd != conn.fd()) continue;
       if (event.readable || event.hangup) {
-        // Drain the kernel buffer even on hangup: responses written before
-        // the peer died are still answers.
-        char buf[kReadChunk];
-        for (;;) {
-          const ssize_t n = ::recv(socket.fd(), buf, sizeof(buf), 0);
-          if (n > 0) {
-            decoder.Append(buf, static_cast<size_t>(n));
-            continue;
-          }
-          if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          if (n < 0 && errno == EINTR) continue;
-          dead = true;  // EOF or socket error
-          break;
-        }
-        std::string payload;
-        for (;;) {
-          auto next = decoder.Next(&payload);
-          if (!next.ok()) {  // oversized frame: stream unusable
-            dead = true;
-            break;
-          }
-          if (!*next) break;
-          received.push_back(std::move(payload));
-        }
+        // Responses decoded before EOF, a socket error or an oversized
+        // frame are still answers: deliver them, then drop the connection.
+        auto open = conn.ReadFrames(&received);
+        dead = !open.ok() || !*open;
       }
     }
 
@@ -321,14 +278,11 @@ void FrameChannel::PumpConnection(Socket socket, Poller& poller) {
       received.clear();
     }
 
-    if (!dead && !in_flight_.empty() &&
+    if (dead) return;
+    if (!in_flight_.empty() &&
         std::chrono::steady_clock::now() - in_flight_.front() >=
             std::chrono::milliseconds(options_.response_timeout_ms)) {
       response_timeouts_.fetch_add(1, std::memory_order_relaxed);
-      dead = true;
-    }
-    if (dead) {
-      poller.Forget(socket.fd());
       return;
     }
   }

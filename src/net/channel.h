@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/connection.h"
 #include "net/frame.h"
 #include "net/poller.h"
 #include "net/socket.h"
@@ -34,7 +35,6 @@ struct FrameChannelOptions {
   int reconnect_backoff_min_ms = 50;
   int reconnect_backoff_max_ms = 2000;
   size_t max_frame_payload = kDefaultMaxFramePayload;
-  PollerBackend poller_backend = PollerBackend::kDefault;
 };
 
 /// A pipelined frame client owned by its own IO thread: the building block
@@ -76,7 +76,8 @@ class FrameChannel {
   FrameChannel& operator=(const FrameChannel&) = delete;
 
   /// Creates the wake channel + poller and spawns the IO thread (which
-  /// starts connecting immediately).
+  /// starts connecting immediately). Fails, with no thread started, when
+  /// either cannot be created.
   util::Status Start();
 
   /// Queues one frame payload for transmission. kDown while disconnected
@@ -124,7 +125,7 @@ class FrameChannel {
 
   void Run();
   /// One connection's lifetime; returns when it died or shutdown began.
-  void PumpConnection(Socket socket, Poller& poller);
+  void PumpConnection(Connection& conn);
   /// Clears all accepted-but-unanswered state after a connection died.
   void DropOutstanding();
 
@@ -134,6 +135,8 @@ class FrameChannel {
   const Events events_;
 
   WakeChannel wake_;
+  /// Built in Start(), then owned by the IO thread.
+  Poller poller_;
   std::thread thread_;
 
   std::mutex mutex_;
@@ -164,7 +167,6 @@ class FrameChannel {
   /// Send timestamps of in-flight frames, FIFO: each arriving response
   /// settles the oldest — the count-based window and timeout tracker.
   std::deque<std::chrono::steady_clock::time_point> in_flight_;
-  std::string write_buffer_;
 };
 
 }  // namespace auditgame::net

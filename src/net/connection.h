@@ -13,10 +13,11 @@
 
 namespace auditgame::net {
 
-/// One accepted, non-blocking connection: the socket plus its per-connection
-/// read decoder and write buffer. The event loop calls ReadFrames() when the
-/// fd polls readable and Flush() when it polls writable; both handle partial
-/// transfers (short reads, EAGAIN mid-write) by construction.
+/// One non-blocking connection — accepted by a reactor or dialed by a
+/// FrameChannel: the socket plus its read decoder and write buffer. The
+/// event loop calls ReadFrames() when the fd polls readable and Flush()
+/// when it polls writable; both handle partial transfers (short reads,
+/// EAGAIN mid-write) by construction.
 ///
 /// Memory is bounded on both sides: the read side by the frame decoder's
 /// payload cap, the write side by `max_write_buffer` — a peer that stops

@@ -1,169 +1,84 @@
 #include "net/poller.h"
 
-#include <errno.h>
-#include <poll.h>
-#include <string.h>
-
-#include <map>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#include <unistd.h>
-#define AUDITGAME_HAVE_EPOLL 1
+#ifndef __linux__
+#error "the serving stack is Linux-only: its event loop is epoll(7) and its wake channels are eventfd(2)"
 #endif
+
+#include <errno.h>
+#include <string.h>
+#include <sys/epoll.h>
+
+#include <string>
 
 namespace auditgame::net {
 
 namespace {
-
-/// Portable poll(2) backend: rebuilds the pollfd array per wait, O(n) in
-/// the watched-set size. Fine for hundreds of descriptors; the reference
-/// semantics the epoll backend must match.
-class PollPoller final : public Poller {
- public:
-  void Watch(int fd, bool read, bool write) override {
-    interest_[fd] = Interest{read, write};
-  }
-
-  void Forget(int fd) override { interest_.erase(fd); }
-
-  size_t watched() const override { return interest_.size(); }
-
-  util::StatusOr<std::vector<PollEvent>> Wait(int timeout_ms) override {
-    std::vector<pollfd> fds;
-    fds.reserve(interest_.size());
-    for (const auto& [fd, interest] : interest_) {
-      pollfd p;
-      p.fd = fd;
-      p.events = 0;
-      if (interest.read) p.events |= POLLIN;
-      if (interest.write) p.events |= POLLOUT;
-      p.revents = 0;
-      fds.push_back(p);
-    }
-
-    int ready;
-    do {
-      ready = ::poll(fds.data(), fds.size(), timeout_ms);
-      // Retry on EINTR rather than reporting an empty set: callers treat an
-      // empty result as "nothing is pending" (the audit server's drain uses
-      // it as the exit proof), which a signal interruption is not. Wakeups
-      // that must interrupt the wait go through a watched descriptor.
-    } while (ready < 0 && errno == EINTR);
-    if (ready < 0) {
-      return util::InternalError("poll: " + std::string(strerror(errno)));
-    }
-
-    std::vector<PollEvent> events;
-    if (ready == 0) return events;
-    events.reserve(static_cast<size_t>(ready));
-    for (const pollfd& p : fds) {
-      if (p.revents == 0) continue;
-      PollEvent event;
-      event.fd = p.fd;
-      event.readable = (p.revents & POLLIN) != 0;
-      event.writable = (p.revents & POLLOUT) != 0;
-      event.hangup = (p.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
-      events.push_back(event);
-    }
-    return events;
-  }
-
-  const char* backend_name() const override { return "poll"; }
-
- private:
-  struct Interest {
-    bool read = false;
-    bool write = false;
-  };
-  std::map<int, Interest> interest_;
-};
-
-#ifdef AUDITGAME_HAVE_EPOLL
-
-/// Linux epoll backend, level-triggered (no EPOLLET) so its semantics are
-/// interchangeable with poll(2): a ready descriptor keeps reporting until
-/// drained, and a missed wakeup costs one loop iteration, never a stall.
-class EpollPoller final : public Poller {
- public:
-  EpollPoller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {}
-
-  ~EpollPoller() override {
-    if (epfd_ >= 0) ::close(epfd_);
-  }
-
-  void Watch(int fd, bool read, bool write) override {
-    epoll_event ev;
-    ev.events = 0;
-    if (read) ev.events |= EPOLLIN;
-    if (write) ev.events |= EPOLLOUT;
-    ev.data.fd = fd;
-    const bool known = interest_.count(fd) != 0;
-    if (::epoll_ctl(epfd_, known ? EPOLL_CTL_MOD : EPOLL_CTL_ADD, fd, &ev) ==
-        0) {
-      interest_.emplace(fd, 0);
-      return;
-    }
-    // The kernel's view can disagree with ours after an fd was closed and
-    // its number reused (close() silently deregisters); retry with the
-    // opposite op before giving up.
-    if (::epoll_ctl(epfd_, known ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, fd, &ev) ==
-        0) {
-      interest_.emplace(fd, 0);
-    }
-  }
-
-  void Forget(int fd) override {
-    if (interest_.erase(fd) == 0) return;
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-
-  size_t watched() const override { return interest_.size(); }
-
-  util::StatusOr<std::vector<PollEvent>> Wait(int timeout_ms) override {
-    epoll_event ready[256];
-    int n;
-    do {
-      n = ::epoll_wait(epfd_, ready, 256, timeout_ms);
-    } while (n < 0 && errno == EINTR);  // same EINTR contract as poll
-    if (n < 0) {
-      return util::InternalError("epoll_wait: " +
-                                 std::string(strerror(errno)));
-    }
-    std::vector<PollEvent> events;
-    events.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      PollEvent event;
-      event.fd = ready[i].data.fd;
-      event.readable = (ready[i].events & EPOLLIN) != 0;
-      event.writable = (ready[i].events & EPOLLOUT) != 0;
-      event.hangup = (ready[i].events & (EPOLLHUP | EPOLLERR)) != 0;
-      events.push_back(event);
-    }
-    return events;
-  }
-
-  const char* backend_name() const override { return "epoll"; }
-
- private:
-  int epfd_ = -1;
-  /// fds we believe the kernel is watching (epoll needs ADD vs MOD).
-  std::map<int, int> interest_;
-};
-
-#endif  // AUDITGAME_HAVE_EPOLL
-
+constexpr int kMaxEventsPerWait = 256;
 }  // namespace
 
-std::unique_ptr<Poller> MakePoller(PollerBackend backend) {
-#ifdef AUDITGAME_HAVE_EPOLL
-  if (backend == PollerBackend::kDefault || backend == PollerBackend::kEpoll) {
-    return std::make_unique<EpollPoller>();
+util::StatusOr<Poller> Poller::Create() {
+  Socket epoll(::epoll_create1(EPOLL_CLOEXEC));
+  if (!epoll.valid()) {
+    return util::InternalError("epoll_create1: " +
+                               std::string(strerror(errno)));
   }
-#else
-  if (backend == PollerBackend::kEpoll) return nullptr;
-#endif
-  return std::make_unique<PollPoller>();
+  return Poller(std::move(epoll));
+}
+
+util::Status Poller::Watch(int fd, bool read, bool write) {
+  epoll_event ev;
+  ev.events = 0;
+  if (read) ev.events |= EPOLLIN;
+  if (write) ev.events |= EPOLLOUT;
+  ev.data.fd = fd;
+  const bool known = watched_.count(fd) != 0;
+  if (::epoll_ctl(epoll_.fd(), known ? EPOLL_CTL_MOD : EPOLL_CTL_ADD, fd,
+                  &ev) == 0) {
+    watched_.insert(fd);
+    return util::OkStatus();
+  }
+  // The kernel's view can disagree with ours after an fd was closed and
+  // its number reused (close() silently deregisters); retry with the
+  // opposite op before giving up.
+  const int first_errno = errno;
+  if (::epoll_ctl(epoll_.fd(), known ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, fd,
+                  &ev) == 0) {
+    watched_.insert(fd);
+    return util::OkStatus();
+  }
+  watched_.erase(fd);
+  return util::InternalError("epoll_ctl(fd " + std::to_string(fd) +
+                             "): " + std::string(strerror(first_errno)));
+}
+
+void Poller::Forget(int fd) {
+  if (watched_.erase(fd) == 0) return;
+  ::epoll_ctl(epoll_.fd(), EPOLL_CTL_DEL, fd, nullptr);
+}
+
+util::StatusOr<std::vector<PollEvent>> Poller::Wait(int timeout_ms) {
+  epoll_event ready[kMaxEventsPerWait];
+  int n;
+  do {
+    n = ::epoll_wait(epoll_.fd(), ready, kMaxEventsPerWait, timeout_ms);
+    // Retry on EINTR rather than reporting an empty set: callers treat an
+    // empty result as "nothing is pending" (the audit server's drain uses
+    // it as the exit proof), which a signal interruption is not.
+  } while (n < 0 && errno == EINTR);
+  if (n < 0) {
+    return util::InternalError("epoll_wait: " + std::string(strerror(errno)));
+  }
+  std::vector<PollEvent> events;
+  events.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    PollEvent event;
+    event.fd = ready[i].data.fd;
+    event.readable = (ready[i].events & EPOLLIN) != 0;
+    event.writable = (ready[i].events & EPOLLOUT) != 0;
+    event.hangup = (ready[i].events & (EPOLLHUP | EPOLLERR)) != 0;
+    events.push_back(event);
+  }
+  return events;
 }
 
 }  // namespace auditgame::net

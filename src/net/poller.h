@@ -2,9 +2,11 @@
 #define AUDIT_GAME_NET_POLLER_H_
 
 #include <cstddef>
-#include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "net/socket.h"
 #include "util/status.h"
 #include "util/statusor.h"
 
@@ -20,50 +22,46 @@ struct PollEvent {
   bool hangup = false;
 };
 
-/// Readiness notifier: the level-triggered event-loop primitive behind each
-/// reactor. Two backends implement the same interface:
+/// Readiness notifier: the event-loop primitive behind each reactor, the
+/// acceptors and the router's backend channels. One level-triggered
+/// epoll(7) instance — O(ready) dispatch independent of the watched-set
+/// size, where one reactor may own tens of thousands of pipelined
+/// connections. A ready descriptor keeps reporting until drained, so a
+/// missed wakeup costs one loop iteration, never a stall.
 ///
-///  * `kEpoll` (Linux): O(1) dispatch independent of the watched-set size —
-///    the serving backend, where one reactor may own tens of thousands of
-///    pipelined connections.
-///  * `kPoll`: portable POSIX poll(2), O(n) per wait. The fallback for
-///    non-Linux builds and the reference the epoll backend is tested
-///    against; at small fd counts the two are indistinguishable.
-///
-/// `kDefault` picks epoll where compiled in, poll otherwise. Both backends
-/// are level-triggered with identical semantics, so callers never branch on
-/// which one they got.
-///
-/// Not thread-safe: one Poller belongs to one event-loop thread.
+/// Not thread-safe: one Poller belongs to one event-loop thread. Move-only;
+/// a default-constructed Poller is invalid until assigned from Create().
 class Poller {
  public:
-  virtual ~Poller() = default;
+  Poller() = default;
+
+  static util::StatusOr<Poller> Create();
 
   /// Registers `fd` or updates its interest set. `read`/`write` select the
-  /// events to wake on (hangup/error always wake).
-  virtual void Watch(int fd, bool read, bool write) = 0;
+  /// events to wake on (hangup/error always wake). Fails when the kernel
+  /// refuses the descriptor (a regular file: EPERM) — the fd is then not
+  /// watched and the caller must not wait on it.
+  util::Status Watch(int fd, bool read, bool write);
 
   /// Stops watching `fd` (no-op if unknown).
-  virtual void Forget(int fd) = 0;
+  void Forget(int fd);
 
-  virtual size_t watched() const = 0;
+  size_t watched() const { return watched_.size(); }
 
   /// Blocks until at least one watched descriptor is ready or `timeout_ms`
   /// elapses (-1 = forever). Returns the ready set; an empty result means
   /// the timeout genuinely expired with nothing pending (EINTR is retried
   /// internally — anything that must interrupt the wait writes to a
   /// watched descriptor, as the reactors' wake channels do).
-  virtual util::StatusOr<std::vector<PollEvent>> Wait(int timeout_ms) = 0;
+  util::StatusOr<std::vector<PollEvent>> Wait(int timeout_ms);
 
-  /// "epoll" or "poll" — for logs and the stats verb.
-  virtual const char* backend_name() const = 0;
+ private:
+  explicit Poller(Socket epoll) : epoll_(std::move(epoll)) {}
+
+  Socket epoll_;
+  /// fds we believe the kernel is watching (epoll needs ADD vs MOD).
+  std::set<int> watched_;
 };
-
-enum class PollerBackend { kDefault, kPoll, kEpoll };
-
-/// Creates a poller. `kEpoll` returns nullptr on platforms without epoll;
-/// `kDefault` never fails.
-std::unique_ptr<Poller> MakePoller(PollerBackend backend = PollerBackend::kDefault);
 
 }  // namespace auditgame::net
 

@@ -6,13 +6,10 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <string.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
-
-#ifdef __linux__
-#include <sys/eventfd.h>
-#endif
 
 namespace auditgame::net {
 
@@ -122,38 +119,22 @@ util::StatusOr<uint16_t> LocalPort(const Socket& socket) {
 }
 
 util::StatusOr<WakeChannel> WakeChannel::Make() {
-#ifdef __linux__
-  const int efd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (efd >= 0) return WakeChannel(Socket(efd), Socket());
-  // eventfd can fail only on fd exhaustion; the pipe below would too, but
-  // fall through so both platforms share one error path.
-#endif
-  int fds[2];
-  if (pipe(fds) < 0) return ErrnoError("pipe");
-  Socket read_end(fds[0]);
-  Socket write_end(fds[1]);
-  RETURN_IF_ERROR(SetNonBlocking(read_end.fd()));
-  RETURN_IF_ERROR(SetNonBlocking(write_end.fd()));
-  return WakeChannel(std::move(read_end), std::move(write_end));
+  Socket eventfd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
+  if (!eventfd.valid()) return ErrnoError("eventfd");
+  return WakeChannel(std::move(eventfd));
 }
 
 void WakeChannel::Notify() {
-  if (tx_.valid()) {
-    const char byte = 1;
-    [[maybe_unused]] ssize_t n = ::write(tx_.fd(), &byte, 1);
-    return;
-  }
-  if (rx_.valid()) {
-    const uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = ::write(rx_.fd(), &one, sizeof(one));
-  }
+  if (!eventfd_.valid()) return;
+  const uint64_t one = 1;
+  [[maybe_unused]] ssize_t n = ::write(eventfd_.fd(), &one, sizeof(one));
 }
 
 void WakeChannel::Drain() {
-  if (!rx_.valid()) return;
-  char buf[256];
-  while (::read(rx_.fd(), buf, sizeof(buf)) > 0) {
-  }
+  if (!eventfd_.valid()) return;
+  // One read returns and resets the whole counter.
+  uint64_t count = 0;
+  [[maybe_unused]] ssize_t n = ::read(eventfd_.fd(), &count, sizeof(count));
 }
 
 }  // namespace auditgame::net

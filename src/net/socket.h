@@ -11,10 +11,10 @@
 
 namespace auditgame::net {
 
-/// RAII owner of a file descriptor (socket or pipe end). Move-only; the
-/// descriptor is closed on destruction. All networking in this project goes
-/// through plain POSIX descriptors — no external dependencies — so the
-/// serving stack builds anywhere the toolchain does.
+/// RAII owner of a file descriptor (socket, eventfd or epoll instance).
+/// Move-only; the descriptor is closed on destruction. All networking in
+/// this project goes through plain Linux descriptors — no external
+/// dependencies.
 class Socket {
  public:
   Socket() = default;
@@ -78,10 +78,9 @@ util::StatusOr<uint16_t> LocalPort(const Socket& socket);
 
 /// A cross-thread wakeup channel: other threads (or a signal handler —
 /// Notify() is one async-signal-safe write(2)) call Notify(), the owning
-/// event loop watches read_fd() and calls Drain() when it polls readable.
-/// Backed by eventfd(2) on Linux (one fd, one word, notifications coalesce
-/// in the kernel) and a non-blocking pipe elsewhere; each reactor owns one,
-/// replacing the single shared wake pipe of the one-loop server.
+/// event loop watches fd() and calls Drain() when it polls readable. One
+/// eventfd(2): one descriptor, one counter word, notifications coalesce in
+/// the kernel. Each reactor, acceptor and backend channel owns one.
 class WakeChannel {
  public:
   /// Invalid until assigned from Make() — Notify()/Drain() are no-ops.
@@ -90,11 +89,9 @@ class WakeChannel {
   static util::StatusOr<WakeChannel> Make();
 
   /// The descriptor the event loop registers for read interest.
-  int read_fd() const { return rx_.fd(); }
+  int fd() const { return eventfd_.fd(); }
 
-  bool valid() const { return rx_.valid(); }
-
-  /// Wakes the owning loop. Async-signal-safe; a full channel already
+  /// Wakes the owning loop. Async-signal-safe; a saturated counter already
   /// guarantees a pending wakeup, so the result is ignored.
   void Notify();
 
@@ -103,12 +100,9 @@ class WakeChannel {
   void Drain();
 
  private:
-  WakeChannel(Socket rx, Socket tx) : rx_(std::move(rx)), tx_(std::move(tx)) {}
+  explicit WakeChannel(Socket eventfd) : eventfd_(std::move(eventfd)) {}
 
-  Socket rx_;
-  /// Pipe write end; invalid when rx_ is an eventfd (which is written and
-  /// read through the same descriptor).
-  Socket tx_;
+  Socket eventfd_;
 };
 
 }  // namespace auditgame::net

@@ -49,19 +49,16 @@ util::Status AuditServer::Start() {
   ASSIGN_OR_RETURN(listener_, net::ListenTcp(options_.host, options_.port));
   ASSIGN_OR_RETURN(port_, net::LocalPort(listener_));
   ASSIGN_OR_RETURN(wake_, net::WakeChannel::Make());
-  acceptor_poller_ = net::MakePoller(options_.poller_backend);
-  if (!acceptor_poller_) {
-    return util::InvalidArgumentError(
-        "requested poller backend unavailable on this platform");
-  }
-  acceptor_poller_->Watch(listener_.fd(), /*read=*/true, /*write=*/false);
-  acceptor_poller_->Watch(wake_.read_fd(), /*read=*/true, /*write=*/false);
+  ASSIGN_OR_RETURN(acceptor_poller_, net::Poller::Create());
+  RETURN_IF_ERROR(
+      acceptor_poller_.Watch(listener_.fd(), /*read=*/true, /*write=*/false));
+  RETURN_IF_ERROR(
+      acceptor_poller_.Watch(wake_.fd(), /*read=*/true, /*write=*/false));
 
   ReactorOptions reactor_options;
   reactor_options.max_frame_payload = options_.max_frame_payload;
   reactor_options.max_write_buffer = options_.max_write_buffer;
   reactor_options.idle_timeout_ms = options_.idle_timeout_ms;
-  reactor_options.poller_backend = options_.poller_backend;
   reactors_.reserve(static_cast<size_t>(options_.num_reactors));
   for (int i = 0; i < options_.num_reactors; ++i) {
     reactors_.push_back(std::make_unique<Reactor>(
@@ -163,7 +160,7 @@ void AuditServer::BeginDrain() {
     if (auto accepted = net::AcceptAll(listener_); accepted.ok()) {
       AdmitConnections(std::move(*accepted), /*enforce_cap=*/false);
     }
-    acceptor_poller_->Forget(listener_.fd());
+    acceptor_poller_.Forget(listener_.fd());
     listener_.Close();
   }
   // Close the shard queues first: from here on every frame a reactor reads
@@ -198,12 +195,12 @@ util::Status AuditServer::Run() {
       }
     }
 
-    auto events = acceptor_poller_->Wait(
+    auto events = acceptor_poller_.Wait(
         draining_ ? kDrainPollMs
                   : std::min(kAcceptorPollMs, options_.stats_refresh_ms));
     RETURN_IF_ERROR(events.status());
     for (const net::PollEvent& event : *events) {
-      if (event.fd == wake_.read_fd()) {
+      if (event.fd == wake_.fd()) {
         wake_.Drain();
         continue;
       }
@@ -370,8 +367,6 @@ util::JsonValue::Object AuditServer::StatsBody() {
   server["idle_closes"] = static_cast<double>(idle_closes);
   server["shards"] = static_cast<int>(shards_.size());
   server["reactors"] = static_cast<int>(reactors_.size());
-  server["poller"] = std::string(
-      reactors_.empty() ? "none" : reactors_.front()->backend_name());
   server["draining"] = draining_;
   body["server"] = std::move(server);
 

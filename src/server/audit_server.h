@@ -50,9 +50,6 @@ struct AuditServerOptions {
   /// How often the acceptor rebuilds the stats snapshot the `stats` verb
   /// answers from (reactors never lock a shard for it).
   int stats_refresh_ms = 250;
-  /// Event-loop backend for every reactor (kDefault = epoll where
-  /// available, poll(2) otherwise).
-  net::PollerBackend poller_backend = net::PollerBackend::kDefault;
   /// How long a graceful stop waits for shards to drain and responses to
   /// flush before giving up.
   int drain_timeout_ms = 10000;
@@ -69,7 +66,7 @@ struct AuditServerOptions {
 
 /// The wire-serving layer over the paper's audit loop: N shards, each a
 /// single-writer AuditService host on its own thread, fronted by a pool of
-/// reactor IO threads (epoll-based where available) speaking the
+/// epoll reactor IO threads speaking the
 /// length-prefixed protocol of server/protocol.h in its JSON or binary
 /// encoding (server/binary_codec.h). The acceptor thread — the one that
 /// calls Run() — owns the listener and hands each connection to one
@@ -144,7 +141,7 @@ class AuditServer {
 
   net::Socket listener_;
   net::WakeChannel wake_;
-  std::unique_ptr<net::Poller> acceptor_poller_;
+  net::Poller acceptor_poller_;
   uint16_t port_ = 0;
   bool started_ = false;
 

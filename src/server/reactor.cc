@@ -27,14 +27,9 @@ Reactor::~Reactor() {
 }
 
 util::Status Reactor::Start() {
-  poller_ = net::MakePoller(options_.poller_backend);
-  if (!poller_) {
-    return util::InvalidArgumentError(
-        "requested poller backend unavailable on this platform");
-  }
-  backend_name_ = poller_->backend_name();
+  ASSIGN_OR_RETURN(poller_, net::Poller::Create());
   ASSIGN_OR_RETURN(wake_, net::WakeChannel::Make());
-  poller_->Watch(wake_.read_fd(), /*read=*/true, /*write=*/false);
+  RETURN_IF_ERROR(poller_.Watch(wake_.fd(), /*read=*/true, /*write=*/false));
   last_idle_sweep_ = std::chrono::steady_clock::now();
   thread_ = std::thread([this] { Run(); });
   return util::OkStatus();
@@ -102,7 +97,7 @@ void Reactor::Run() {
     if (killed_.load(std::memory_order_acquire)) break;
     const bool draining = draining_.load(std::memory_order_acquire);
 
-    auto events = poller_->Wait(draining ? kDrainPollMs : kIdlePollMs);
+    auto events = poller_.Wait(draining ? kDrainPollMs : kIdlePollMs);
     if (!events.ok()) {
       std::lock_guard<std::mutex> lock(status_mutex_);
       status_ = events.status();
@@ -112,7 +107,7 @@ void Reactor::Run() {
 
     bool woke = false;
     for (const net::PollEvent& event : *events) {
-      if (event.fd == wake_.read_fd()) {
+      if (event.fd == wake_.fd()) {
         wake_.Drain();
         woke = true;
         continue;
@@ -152,7 +147,7 @@ void Reactor::Run() {
   // Drop whatever is still open; on a clean drain every buffer is already
   // flushed, on the kill path the deadline decided for us.
   for (auto& [conn_id, state] : connections_) {
-    poller_->Forget(state.conn.fd());
+    poller_.Forget(state.conn.fd());
   }
   Add(closed_connections_, static_cast<int64_t>(connections_.size()));
   connections_.clear();
@@ -179,8 +174,8 @@ bool Reactor::DrainInbox() {
     if (!inserted) continue;  // duplicate id: acceptor bug, drop the socket
     it->second.last_activity = std::chrono::steady_clock::now();
     fd_to_conn_[fd] = entry.conn_id;
-    poller_->Watch(fd, /*read=*/true, /*write=*/false);
     Add(active_connections_);
+    UpdateInterest(entry.conn_id);
   }
   for (Shard::Response& response : responses) {
     Reply(response.conn_id, response.payload, /*from_shard=*/true);
@@ -288,15 +283,20 @@ void Reactor::UpdateInterest(uint64_t conn_id) {
   if (it == connections_.end()) return;
   const ConnState& state = it->second;
   if (state.read_closed && !state.conn.wants_write()) {
-    // Nothing to poll for — and both backends report hangup/error even for
-    // an empty interest set, so leaving a dead-but-pending connection
+    // Nothing to poll for — and epoll reports hangup/error even for an
+    // empty interest set, so leaving a dead-but-pending connection
     // (in-flight shard responses) registered would busy-spin the loop.
     // Response delivery re-registers write interest when it queues data.
-    poller_->Forget(state.conn.fd());
+    poller_.Forget(state.conn.fd());
     return;
   }
-  poller_->Watch(state.conn.fd(), /*read=*/!state.read_closed,
-                 /*write=*/state.conn.wants_write());
+  // A descriptor epoll refuses would never be served: closing it now beats
+  // leaving it to the idle reaper (or forever, with the reaper off).
+  if (!poller_.Watch(state.conn.fd(), /*read=*/!state.read_closed,
+                     /*write=*/state.conn.wants_write())
+           .ok()) {
+    CloseConnection(conn_id);
+  }
 }
 
 void Reactor::MaybeFinishConnection(uint64_t conn_id) {
@@ -312,7 +312,7 @@ void Reactor::MaybeFinishConnection(uint64_t conn_id) {
 void Reactor::CloseConnection(uint64_t conn_id) {
   auto it = connections_.find(conn_id);
   if (it == connections_.end()) return;
-  poller_->Forget(it->second.conn.fd());
+  poller_.Forget(it->second.conn.fd());
   fd_to_conn_.erase(it->second.conn.fd());
   connections_.erase(it);
   Add(active_connections_, -1);

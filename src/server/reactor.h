@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -31,12 +30,10 @@ struct ReactorOptions {
   /// (no in-flight shard work, no unflushed output) — are reaped. 0
   /// disables the timer.
   int idle_timeout_ms = 0;
-  net::PollerBackend poller_backend = net::PollerBackend::kDefault;
 };
 
-/// One IO thread of the server's reactor pool: an event loop (epoll where
-/// available, poll(2) otherwise — see net/poller.h) owning a disjoint set
-/// of connections. The acceptor assigns each accepted socket to exactly one
+/// One IO thread of the server's reactor pool: an epoll event loop (see
+/// net/poller.h) owning a disjoint set of connections. The acceptor assigns each accepted socket to exactly one
 /// reactor via Adopt() and that affinity never changes, so all per-
 /// connection state (decoder, write buffer, in-flight count, binary-mode
 /// flag) is touched by one thread only — no locks on the hot path. The
@@ -101,9 +98,6 @@ class Reactor {
   /// inbox responses as orphaned and discards them (with any unprocessed
   /// adopted sockets). Returns the orphan count.
   size_t DrainLeftovers();
-
-  /// "epoll" or "poll" (valid after Start()).
-  const char* backend_name() const { return backend_name_; }
 
   int index() const { return index_; }
 
@@ -174,6 +168,8 @@ class Reactor {
   /// anything was processed.
   bool DrainInbox();
   void HandleConnectionEvent(const net::PollEvent& event);
+  /// Re-registers the connection's poll interest; closes it (counted in
+  /// closed_connections) when the poller refuses the descriptor.
   void UpdateInterest(uint64_t conn_id);
   /// Closes a read-closed connection once nothing is owed to it.
   void MaybeFinishConnection(uint64_t conn_id);
@@ -184,9 +180,8 @@ class Reactor {
   const int index_;
   const ReactorOptions options_;
   const FrameHandler handler_;
-  const char* backend_name_ = "unstarted";
 
-  std::unique_ptr<net::Poller> poller_;
+  net::Poller poller_;
   net::WakeChannel wake_;
   std::thread thread_;
 

@@ -83,19 +83,16 @@ util::Status Router::Start() {
   ASSIGN_OR_RETURN(listener_, net::ListenTcp(options_.host, options_.port));
   ASSIGN_OR_RETURN(port_, net::LocalPort(listener_));
   ASSIGN_OR_RETURN(wake_, net::WakeChannel::Make());
-  acceptor_poller_ = net::MakePoller(options_.poller_backend);
-  if (!acceptor_poller_) {
-    return util::InvalidArgumentError(
-        "requested poller backend unavailable on this platform");
-  }
-  acceptor_poller_->Watch(listener_.fd(), /*read=*/true, /*write=*/false);
-  acceptor_poller_->Watch(wake_.read_fd(), /*read=*/true, /*write=*/false);
+  ASSIGN_OR_RETURN(acceptor_poller_, net::Poller::Create());
+  RETURN_IF_ERROR(
+      acceptor_poller_.Watch(listener_.fd(), /*read=*/true, /*write=*/false));
+  RETURN_IF_ERROR(
+      acceptor_poller_.Watch(wake_.fd(), /*read=*/true, /*write=*/false));
 
   ReactorOptions reactor_options;
   reactor_options.max_frame_payload = options_.max_frame_payload;
   reactor_options.max_write_buffer = options_.max_write_buffer;
   reactor_options.idle_timeout_ms = options_.idle_timeout_ms;
-  reactor_options.poller_backend = options_.poller_backend;
   reactors_.reserve(static_cast<size_t>(options_.num_reactors));
   for (int i = 0; i < options_.num_reactors; ++i) {
     reactors_.push_back(std::make_unique<Reactor>(
@@ -111,7 +108,6 @@ util::Status Router::Start() {
 
   net::FrameChannelOptions channel_options = options_.channel;
   channel_options.max_frame_payload = options_.max_frame_payload;
-  channel_options.poller_backend = options_.poller_backend;
   channels_.reserve(backend_addrs.size());
   for (size_t i = 0; i < backend_addrs.size(); ++i) {
     net::FrameChannel::Events events;
@@ -193,7 +189,7 @@ void Router::BeginDrain() {
     if (auto accepted = net::AcceptAll(listener_); accepted.ok()) {
       AdmitConnections(std::move(*accepted), /*enforce_cap=*/false);
     }
-    acceptor_poller_->Forget(listener_.fd());
+    acceptor_poller_.Forget(listener_.fd());
     listener_.Close();
   }
   for (auto& reactor : reactors_) reactor->BeginDrain();
@@ -241,12 +237,12 @@ util::Status Router::Run() {
     }
 
     auto events =
-        acceptor_poller_->Wait(draining_.load(std::memory_order_relaxed)
-                               ? kDrainPollMs
-                               : kAcceptorPollMs);
+        acceptor_poller_.Wait(draining_.load(std::memory_order_relaxed)
+                                  ? kDrainPollMs
+                                  : kAcceptorPollMs);
     RETURN_IF_ERROR(events.status());
     for (const net::PollEvent& event : *events) {
-      if (event.fd == wake_.read_fd()) {
+      if (event.fd == wake_.fd()) {
         wake_.Drain();
         continue;
       }
@@ -691,8 +687,6 @@ util::JsonValue::Object Router::StatsBody() {
   server["orphaned_responses"] = static_cast<double>(orphaned);
   server["idle_closes"] = static_cast<double>(idle_closes);
   server["reactors"] = static_cast<int>(reactors_.size());
-  server["poller"] = std::string(
-      reactors_.empty() ? "none" : reactors_.front()->backend_name());
   server["draining"] = draining_.load(std::memory_order_relaxed);
   body["server"] = std::move(server);
 

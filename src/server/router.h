@@ -56,14 +56,13 @@ struct RouterOptions {
   /// `backend_down`).
   int backend_connect_wait_ms = 10000;
   /// Per-backend channel tuning (window, queue bound, response timeout,
-  /// reconnect backoff). max_frame_payload and poller_backend are
-  /// propagated from the fields below.
+  /// reconnect backoff). max_frame_payload is propagated from the field
+  /// below.
   net::FrameChannelOptions channel;
   size_t max_frame_payload = net::kDefaultMaxFramePayload;
   size_t max_write_buffer = 4u << 20;
   int idle_timeout_ms = 300000;
   size_t max_connections = 0;
-  net::PollerBackend poller_backend = net::PollerBackend::kDefault;
   int drain_timeout_ms = 10000;
 };
 
@@ -170,7 +169,7 @@ class Router {
 
   net::Socket listener_;
   net::WakeChannel wake_;
-  std::unique_ptr<net::Poller> acceptor_poller_;
+  net::Poller acceptor_poller_;
   uint16_t port_ = 0;
   bool started_ = false;
 

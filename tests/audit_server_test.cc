@@ -5,7 +5,9 @@
 // disconnected), ingest validation, backpressure, and graceful shutdown.
 #include "server/audit_server.h"
 
+#include <stdlib.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <memory>
@@ -17,10 +19,10 @@
 #include "gtest/gtest.h"
 #include "net/client.h"
 #include "net/frame.h"
-#include "net/poller.h"
 #include "scenario/generator.h"
 #include "server/binary_codec.h"
 #include "server/protocol.h"
+#include "server/reactor.h"
 #include "util/json.h"
 
 namespace auditgame::server {
@@ -104,6 +106,32 @@ TEST(ShardRoutingTest, SpreadsTenantsAcrossShards) {
   // 64 tenants into 4 buckets missing one entirely would mean a broken
   // hash, not bad luck (probability ~4 * (3/4)^64 < 1e-7).
   EXPECT_EQ(used.size(), 4u);
+}
+
+TEST(ReactorTest, RefusedDescriptorIsClosedAndCounted) {
+  Reactor reactor(0, ReactorOptions{},
+                  [](Reactor&, uint64_t, const std::string&) { return true; });
+  ASSERT_TRUE(reactor.Start().ok());
+  // epoll refuses a regular file (EPERM). An adopted descriptor that can
+  // never report must be closed at once, not left for the idle reaper —
+  // which is off here (idle_timeout_ms 0), so it would sit forever.
+  std::string path = ::testing::TempDir() + "reactor_test_XXXXXX";
+  net::Socket file(::mkstemp(path.data()));
+  ASSERT_TRUE(file.valid());
+  ::unlink(path.c_str());
+  reactor.Adopt(std::move(file), /*conn_id=*/1);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (reactor.closed_connections() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(reactor.closed_connections(), 1);
+  EXPECT_EQ(reactor.active_connections(), 0);
+  reactor.Kill();
+  reactor.Join();
+  EXPECT_TRUE(reactor.status().ok()) << reactor.status();
 }
 
 TEST_F(AuditServerTest, SolveCyclesAreOrderedUnderConcurrentClients) {
@@ -429,22 +457,6 @@ TEST_F(AuditServerTest, MaxConnectionsCapClosesExcessAccepts) {
 
   // The admitted connection is unaffected.
   EXPECT_EQ(StatusOf(Call(first, MakeStatsRequest(3))), "ok");
-}
-
-TEST_F(AuditServerTest, PollBackendServesLikeTheDefault) {
-  AuditServerOptions options;
-  options.poller_backend = net::PollerBackend::kPoll;
-  options.num_reactors = 2;
-  StartServer(options);
-  auto client = Connect();
-  EXPECT_EQ(StatusOf(Call(client, MakeSolveCycleRequest(1, "t"))), "ok");
-  util::JsonValue doc = Call(client, MakeStatsRequest(2));
-  ASSERT_EQ(StatusOf(doc), "ok");
-  const util::JsonValue* server_stats = doc.Find("server");
-  ASSERT_NE(server_stats, nullptr);
-  auto poller = server_stats->GetString("poller");
-  ASSERT_TRUE(poller.ok());
-  EXPECT_EQ(*poller, "poll");
 }
 
 TEST_F(AuditServerTest, HalfClosedClientStillGetsItsResponses) {

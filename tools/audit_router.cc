@@ -58,8 +58,6 @@ int Run(int argc, char** argv) {
                "comma-separated backend audit_server addresses "
                "(host:port,host:port,...); list order is the ring identity");
   flags.Define("reactors", "1", "client-facing IO event-loop threads");
-  flags.Define("poller", "default",
-               "event backend: default (epoll on Linux), epoll, poll");
   flags.Define("vnodes", "128", "virtual nodes per backend on the hash ring");
   flags.Define("replicate", "1",
                "mirror ingest/solve_cycle to each tenant's ring successor "
@@ -114,17 +112,6 @@ int Run(int argc, char** argv) {
     return 1;
   }
   options.num_reactors = flags.GetInt("reactors");
-  const std::string poller = flags.GetString("poller");
-  if (poller == "default") {
-    options.poller_backend = net::PollerBackend::kDefault;
-  } else if (poller == "epoll") {
-    options.poller_backend = net::PollerBackend::kEpoll;
-  } else if (poller == "poll") {
-    options.poller_backend = net::PollerBackend::kPoll;
-  } else {
-    std::cerr << "--poller must be default, epoll, or poll\n";
-    return 1;
-  }
   options.virtual_nodes = flags.GetInt("vnodes");
   options.replicate = flags.GetInt("replicate") != 0;
   options.replica_retries = flags.GetInt("replica_retries");

@@ -46,8 +46,6 @@ int Run(int argc, char** argv) {
   flags.Define("shards", "4", "shard worker threads");
   flags.Define("reactors", "1",
                "IO event-loop threads (each connection is pinned to one)");
-  flags.Define("poller", "default",
-               "event backend: default (epoll on Linux), epoll, poll");
   flags.Define("queue_capacity", "128",
                "per-shard request-queue bound (full queue => overloaded)");
   flags.Define("batch", "16", "max requests drained per shard wakeup");
@@ -113,22 +111,11 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
-  const std::string poller = flags.GetString("poller");
   server::AuditServerOptions options;
   options.host = flags.GetString("host");
   options.port = static_cast<uint16_t>(flags.GetInt("port"));
   options.num_shards = flags.GetInt("shards");
   options.num_reactors = flags.GetInt("reactors");
-  if (poller == "default") {
-    options.poller_backend = net::PollerBackend::kDefault;
-  } else if (poller == "epoll") {
-    options.poller_backend = net::PollerBackend::kEpoll;
-  } else if (poller == "poll") {
-    options.poller_backend = net::PollerBackend::kPoll;
-  } else {
-    std::cerr << "--poller must be default, epoll, or poll\n";
-    return 1;
-  }
   options.idle_timeout_ms = flags.GetInt("idle_timeout_ms");
   options.max_connections =
       static_cast<size_t>(std::max(0, flags.GetInt("max_connections")));
