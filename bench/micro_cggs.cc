@@ -8,16 +8,19 @@
 //  * Google Benchmark (default): timing curves per master mode.
 //  * --smoke_json=PATH: a quick cold-vs-incremental comparison that writes
 //    a BENCH_*.json report (total solve-time ratio, master iteration
-//    counts, warm-start coverage, and Syn A objective agreement) — the
-//    form CI runs and archives per PR.
+//    counts, warm-start coverage, Syn A objective agreement, and the heap
+//    allocations per probe of warm ishm-cggs re-solves) — the form CI runs
+//    and archives per PR.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "bench/alloc_count.h"
 #include "bench/smoke_common.h"
@@ -198,6 +201,69 @@ ModeRun TimeMode(const core::GameInstance& instance,
   return run;
 }
 
+struct IshmRun {
+  double objective = 0.0;
+  double distinct_evaluations_per_solve = 0.0;
+  double seconds_per_probe = 0.0;
+  /// Heap allocations per distinct threshold vector CGGS evaluates, over
+  /// whole warm ishm-cggs re-solves (evaluator setup included).
+  double allocations_per_probe = 0.0;
+};
+
+// The served solve-bound shape: warm ishm-cggs re-solves (single-type
+// repair from the previous thresholds and support), each through a fresh
+// Solve() call as the serving layer makes them.
+IshmRun TimeWarmIshm(const core::GameInstance& instance,
+                     const core::CompiledGame& compiled, double budget,
+                     int reps) {
+  auto detection = core::DetectionModel::Create(instance, budget);
+  if (!detection.ok()) {
+    std::fprintf(stderr, "DetectionModel::Create failed: %s\n",
+                 detection.status().ToString().c_str());
+    std::exit(1);
+  }
+  solver::SolverOptions options;
+  options.ishm.step_size = 0.25;
+  auto solve = [&](const solver::SolverOptions& solve_options,
+                   const solver::SolveRequest& request) {
+    auto ishm = solver::Create("ishm-cggs", solve_options);
+    if (!ishm.ok()) {
+      std::fprintf(stderr, "ishm-cggs: %s\n",
+                   ishm.status().ToString().c_str());
+      std::exit(1);
+    }
+    auto result = (*ishm)->Solve(compiled, *detection, request);
+    if (!result.ok()) {
+      std::fprintf(stderr, "ishm-cggs failed: %s\n",
+                   result.status().ToString().c_str());
+      std::exit(1);
+    }
+    return *std::move(result);
+  };
+  solver::SolveRequest request;
+  request.instance = &instance;
+  const solver::SolveResult cold = solve(options, request);
+  options.ishm.max_subset_size = 1;
+  request.warm_start.thresholds = cold.thresholds;
+  request.warm_start.orderings = cold.policy.orderings;
+
+  IshmRun run;
+  run.objective = solve(options, request).objective;  // warmup, uncounted
+  int64_t probes = 0;
+  const uint64_t alloc_before = bench::HeapAllocationCount();
+  util::Timer timer;
+  for (int r = 0; r < reps; ++r) {
+    probes += solve(options, request).stats.distinct_evaluations;
+  }
+  const double seconds = timer.ElapsedSeconds();
+  const double allocations =
+      static_cast<double>(bench::HeapAllocationCount() - alloc_before);
+  run.distinct_evaluations_per_solve = static_cast<double>(probes) / reps;
+  run.seconds_per_probe = seconds / static_cast<double>(probes);
+  run.allocations_per_probe = allocations / static_cast<double>(probes);
+  return run;
+}
+
 int RunSmoke(const std::string& json_path) {
   util::JsonValue::Array cases;
 
@@ -270,6 +336,27 @@ int RunSmoke(const std::string& json_path) {
                 "gap %.2e speedup %.2fx\n",
                 budget, cold.objective, incremental.objective, gap,
                 cold.seconds / incremental.seconds);
+    cases.push_back(std::move(json_case));
+  }
+
+  // ISHM case: one CGGS run per probed threshold vector.
+  {
+    const int types = 5;
+    const core::GameInstance instance = MakeScalableGame(types, 7);
+    const auto compiled = core::Compile(instance);
+    const IshmRun ishm = TimeWarmIshm(instance, *compiled, 2.0 * types, 20);
+    util::JsonValue::Object json_case;
+    json_case["game"] = "scalable_warm_ishm";
+    json_case["types"] = types;
+    json_case["ishm_objective"] = ishm.objective;
+    json_case["ishm_distinct_evaluations_per_solve"] =
+        ishm.distinct_evaluations_per_solve;
+    json_case["ishm_seconds_per_probe"] = ishm.seconds_per_probe;
+    json_case["ishm_allocations_per_probe"] = ishm.allocations_per_probe;
+    std::printf("warm ishm types=%d: %.1f probes/solve, %.1f us/probe, "
+                "%.1f allocs/probe\n",
+                types, ishm.distinct_evaluations_per_solve,
+                ishm.seconds_per_probe * 1e6, ishm.allocations_per_probe);
     cases.push_back(std::move(json_case));
   }
 

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "bench/exit_codes.h"
@@ -19,10 +20,39 @@
 
 namespace auditgame::bench {
 
-/// Writes `report` (pretty-printed) to `path`. Returns kSmokeExitOk on
-/// success, kSmokeExitIoError on an unwritable path.
+// The CMake build type the bench was compiled with (bench/CMakeLists.txt).
+#ifndef AUDIT_BUILD_TYPE
+#define AUDIT_BUILD_TYPE "unknown"
+#endif
+
+/// The machine a report was measured on: CPU model, hardware threads and
+/// build type. Timing fields are only comparable between equal blocks.
+inline util::JsonValue::Object HostBlock() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(':');
+      if (colon != std::string::npos) {
+        cpu = line.substr(line.find_first_not_of(' ', colon + 1));
+      }
+      break;
+    }
+  }
+  util::JsonValue::Object host;
+  host["cpu"] = cpu;
+  host["hardware_threads"] =
+      static_cast<int>(std::thread::hardware_concurrency());
+  host["build_type"] = std::string(AUDIT_BUILD_TYPE);
+  return host;
+}
+
+/// Writes `report` (pretty-printed, with a "host" block) to `path`.
+/// Returns kSmokeExitOk on success, kSmokeExitIoError on an unwritable
+/// path.
 inline int WriteSmokeReport(const std::string& path,
                             util::JsonValue::Object report) {
+  report["host"] = HostBlock();
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());

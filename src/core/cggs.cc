@@ -41,12 +41,14 @@ double DualWeightedUtility(const CompiledGame& game,
 // True iff `ordering` is a permutation of {0 .. t_count-1}. Warm-start
 // orderings arrive from cached policies that may have been solved for a
 // different instance shape; anything else would corrupt the master LP.
-bool IsValidOrdering(const std::vector<int>& ordering, int t_count) {
+// `seen` is caller-owned scratch.
+bool IsValidOrdering(const std::vector<int>& ordering, int t_count,
+                     std::vector<uint8_t>& seen) {
   if (static_cast<int>(ordering.size()) != t_count) return false;
-  std::vector<bool> seen(static_cast<size_t>(t_count), false);
+  seen.assign(static_cast<size_t>(t_count), 0);
   for (int t : ordering) {
     if (t < 0 || t >= t_count || seen[static_cast<size_t>(t)]) return false;
-    seen[static_cast<size_t>(t)] = true;
+    seen[static_cast<size_t>(t)] = 1;
   }
   return true;
 }
@@ -162,10 +164,25 @@ void GreedyOrdering(const CompiledGame& game, const DetectionModel& detection,
 
 }  // namespace
 
+CggsScratch::CggsScratch() = default;
+CggsScratch::~CggsScratch() = default;
+
 util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
                                      DetectionModel& detection,
                                      const std::vector<double>& thresholds,
                                      const CggsOptions& options) {
+  CggsScratch scratch;
+  ASSIGN_OR_RETURN(CggsResult result,
+                   SolveCggs(game, detection, thresholds, options, scratch));
+  result.columns = std::move(scratch.columns);
+  return result;
+}
+
+util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
+                                     DetectionModel& detection,
+                                     const std::vector<double>& thresholds,
+                                     const CggsOptions& options,
+                                     CggsScratch& scratch) {
   RETURN_IF_ERROR(detection.SetThresholds(thresholds));
 
   // One pool for the whole solve — the caller's shared pool when provided,
@@ -185,14 +202,15 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
   }
 
   // Scratch workspace for the whole solve — shared (caller-provided) or
-  // owned. Slot 0 backs the serial sections: greedy pricing buffers and
-  // the master LP's revised-simplex working memory, which alternate and
-  // nest their ArenaScopes LIFO.
+  // the scratch's own. Slot 0 backs the serial sections: greedy pricing
+  // buffers and the master LP's revised-simplex working memory, which
+  // alternate and nest their ArenaScopes LIFO.
   util::WorkspacePool* workspace = options.workspace;
-  std::unique_ptr<util::WorkspacePool> owned_workspace;
   if (workspace == nullptr) {
-    owned_workspace = std::make_unique<util::WorkspacePool>();
-    workspace = owned_workspace.get();
+    if (scratch.owned_workspace == nullptr) {
+      scratch.owned_workspace = std::make_unique<util::WorkspacePool>();
+    }
+    workspace = scratch.owned_workspace.get();
   }
   workspace->Prepare(1);
   util::Arena& arena = workspace->Get(0);
@@ -204,7 +222,8 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
   // Membership in Q is checked by linear scan: |Q| is capped at
   // max_columns and the per-round check count is tiny next to pricing, so
   // a scan beats the per-insert node + key-copy allocations of a set.
-  std::vector<std::vector<int>> columns;
+  std::vector<std::vector<int>>& columns = scratch.columns;
+  columns.clear();
   columns.reserve(static_cast<size_t>(std::max(1, options.max_columns)));
   const auto in_columns = [&columns](const std::vector<int>& ordering) {
     for (const std::vector<int>& column : columns) {
@@ -213,7 +232,7 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
     return false;
   };
   for (const std::vector<int>& ordering : options.initial_orderings) {
-    if (!IsValidOrdering(ordering, game.num_types)) continue;
+    if (!IsValidOrdering(ordering, game.num_types, scratch.seen)) continue;
     if (in_columns(ordering)) continue;
     columns.push_back(ordering);
   }
@@ -226,37 +245,43 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
   // The restricted master lives across all pricing iterations: every new
   // column is appended to it, and (in the default incremental mode) each
   // re-solve resumes from the previous optimal basis instead of paying a
-  // cold two-phase solve per round.
-  RestrictedMasterLp::Options master_options;
-  if (options.master_mode == CggsOptions::MasterMode::kColdDense) {
-    master_options.backend = lp::SimplexBackend::kDenseTableau;
-    master_options.incremental = false;
+  // cold two-phase solve per round. It also outlives the solve: the
+  // scratch's later solves reset it, and the next columns then refill it
+  // exactly as a new one.
+  if (scratch.master == nullptr) {
+    RestrictedMasterLp::Options master_options;
+    if (options.master_mode == CggsOptions::MasterMode::kColdDense) {
+      master_options.backend = lp::SimplexBackend::kDenseTableau;
+      master_options.incremental = false;
+    }
+    master_options.lp.workspace = workspace;
+    master_options.expected_orderings = options.max_columns;
+    scratch.master = std::make_unique<RestrictedMasterLp>(game, detection,
+                                                         master_options);
+  } else {
+    scratch.master->Reset();
   }
-  master_options.lp.workspace = workspace;
-  master_options.expected_orderings = options.max_columns;
-  RestrictedMasterLp master_lp(game, detection, master_options);
+  RestrictedMasterLp& master_lp = *scratch.master;
   for (const auto& column : columns) {
     RETURN_IF_ERROR(master_lp.AddOrdering(column));
   }
 
   CggsResult result;
-  RestrictedLpSolution master;
+  RestrictedLpSolution& master = scratch.solution;
 
   // Round-persistent scratch: candidate orderings, their reduced-cost
   // slots, and one (prefix, pal) evaluation scratch per candidate slot —
   // preassigned by candidate index, so the parallel sweep touches disjoint
   // state and steady-state rounds are allocation-free.
   const size_t num_candidates = static_cast<size_t>(1 + options.random_probes);
-  std::vector<std::vector<int>> candidates(num_candidates);
-  std::vector<uint8_t> skip;
-  std::vector<double> reduced_costs;
-  std::vector<util::Status> statuses;
-  struct CandidateScratch {
-    DetectionModel::Prefix prefix;
-    std::vector<double> pal;
-  };
-  std::vector<CandidateScratch> eval_scratch(num_candidates);
-  DetectionModel::Prefix greedy_prefix;
+  std::vector<std::vector<int>>& candidates = scratch.candidates;
+  candidates.resize(num_candidates);
+  std::vector<uint8_t>& skip = scratch.skip;
+  std::vector<double>& reduced_costs = scratch.reduced_costs;
+  std::vector<util::Status>& statuses = scratch.statuses;
+  std::vector<CggsScratch::CandidateEval>& eval_scratch = scratch.eval;
+  eval_scratch.resize(num_candidates);
+  DetectionModel::Prefix& greedy_prefix = scratch.greedy_prefix;
 
   for (int round = 0;; ++round) {
     RETURN_IF_ERROR(master_lp.SolveInto(master));
@@ -287,16 +312,16 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
     RunChunks(pool, static_cast<int>(num_candidates), [&](int i) {
       const size_t slot = static_cast<size_t>(i);
       if (skip[slot]) return;
-      CandidateScratch& scratch = eval_scratch[slot];
+      CggsScratch::CandidateEval& candidate_eval = eval_scratch[slot];
       const util::Status status = detection.DetectionProbabilitiesInto(
-          candidates[slot], scratch.prefix, scratch.pal);
+          candidates[slot], candidate_eval.prefix, candidate_eval.pal);
       if (!status.ok()) {
         statuses[slot] = status;
         return;
       }
       reduced_costs[slot] =
           DualWeightedUtility(game, master.victim_duals,
-                              scratch.pal.data()) -
+                              candidate_eval.pal.data()) -
           master.convexity_dual;
     });
     for (const util::Status& status : statuses) RETURN_IF_ERROR(status);
@@ -336,7 +361,6 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
       result.policy.probabilities.push_back(master.ordering_probs[o]);
     }
   }
-  result.columns = std::move(columns);
   double total = 0.0;
   for (double p : result.policy.probabilities) total += p;
   if (total > 0) {

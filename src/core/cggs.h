@@ -2,10 +2,12 @@
 #define AUDIT_GAME_CORE_CGGS_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/detection.h"
 #include "core/game.h"
+#include "core/game_lp.h"
 #include "core/policy.h"
 #include "util/status.h"
 #include "util/statusor.h"
@@ -16,6 +18,8 @@ class WorkspacePool;
 }  // namespace auditgame::util
 
 namespace auditgame::core {
+
+class RestrictedMasterLp;
 
 /// Options for Column Generation Greedy Search (Algorithm 1).
 struct CggsOptions {
@@ -95,6 +99,45 @@ struct CggsResult {
   double pricing_seconds = 0.0;
 };
 
+/// Caller-owned working state of SolveCggs: the restricted master, the
+/// column set Q, the pricing candidates and their evaluation scratch. A
+/// caller that runs CGGS repeatedly on one game and detection model (the
+/// ISHM evaluator runs it once per probed threshold vector) keeps one
+/// scratch and passes it to every solve: the first solve builds the master,
+/// later ones Reset() it, and every buffer keeps its capacity. The results
+/// are bit-identical to solves with a fresh scratch. A scratch is bound to
+/// the game, detection model, master mode, workspace and column cap of its
+/// first solve; only the thresholds and initial_orderings may change after
+/// that. The members are SolveCggs's to manage; callers only keep the
+/// struct alive. One solve at a time.
+struct CggsScratch {
+  CggsScratch();
+  ~CggsScratch();
+
+  /// The workspace of solves whose options name none. It lives here, not
+  /// in the solve, because the master keeps a pointer to it.
+  std::unique_ptr<util::WorkspacePool> owned_workspace;
+  std::unique_ptr<RestrictedMasterLp> master;
+
+  /// Q: the columns of the last solve, in master order.
+  std::vector<std::vector<int>> columns;
+  RestrictedLpSolution solution;
+  /// Pricing round: the greedy ordering, then the random probes.
+  std::vector<std::vector<int>> candidates;
+  std::vector<uint8_t> skip;
+  std::vector<double> reduced_costs;
+  std::vector<util::Status> statuses;
+  /// One (prefix, pal) evaluation buffer per candidate slot.
+  struct CandidateEval {
+    DetectionModel::Prefix prefix;
+    std::vector<double> pal;
+  };
+  std::vector<CandidateEval> eval;
+  DetectionModel::Prefix greedy_prefix;
+  /// Permutation check of the warm-start orderings.
+  std::vector<uint8_t> seen;
+};
+
 /// Solves the fixed-threshold game LP by column generation (Algorithm 1 of
 /// the paper): repeatedly solve the restricted master over Q, then greedily
 /// build a new ordering that minimizes reduced cost under the current duals
@@ -104,6 +147,15 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
                                      DetectionModel& detection,
                                      const std::vector<double>& thresholds,
                                      const CggsOptions& options = {});
+
+/// The same solve on caller-owned scratch (see CggsScratch). Q at
+/// termination stays in `scratch.columns`; the result's `columns` is left
+/// empty, so a repeated caller copies no column it does not need.
+util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
+                                     DetectionModel& detection,
+                                     const std::vector<double>& thresholds,
+                                     const CggsOptions& options,
+                                     CggsScratch& scratch);
 
 }  // namespace auditgame::core
 

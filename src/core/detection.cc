@@ -89,89 +89,98 @@ util::Status DetectionModel::SetThresholds(
       return util::InvalidArgumentError("thresholds must be finite and >= 0");
     }
   }
-  thresholds_ = thresholds;
+  // A type's tables depend on its own threshold and on what Create fixed
+  // (distribution, cost, budget, options), so only the types whose
+  // threshold changed since the last call are rebuilt: an ISHM probe moves
+  // one or two thresholds, and the untouched tables are bit-identical to a
+  // rebuild by construction. The signbit test keeps -0.0 and +0.0 apart.
+  const int t_count = num_types();
   if (options_.mode == Mode::kExact) {
-    PrepareExactTables();
+    consumption_.resize(static_cast<size_t>(t_count));
+    g_.resize(static_cast<size_t>(t_count));
   } else {
-    PrepareMcTables();
+    mc_consumption_.resize(samples_.size());
   }
+  for (int t = 0; t < t_count; ++t) {
+    const double b = thresholds[static_cast<size_t>(t)];
+    double& current = thresholds_[static_cast<size_t>(t)];
+    const bool changed =
+        b != current || std::signbit(b) != std::signbit(current);
+    current = b;
+    if (tables_ready_ && !changed) continue;
+    if (options_.mode == Mode::kExact) {
+      PrepareExactTables(t);
+    } else {
+      PrepareMcTables(t);
+    }
+  }
+  tables_ready_ = true;
   return util::OkStatus();
 }
 
-void DetectionModel::PrepareExactTables() {
-  const int t_count = num_types();
+void DetectionModel::PrepareExactTables(int t) {
   const double unit = options_.budget_unit;
-  // resize + clear (not assign) keeps every inner vector's capacity across
-  // SetThresholds calls — ISHM sweeps re-threshold the same model in a loop.
-  consumption_.resize(static_cast<size_t>(t_count));
-  g_.resize(static_cast<size_t>(t_count));
-  for (int t = 0; t < t_count; ++t) {
-    const prob::CountDistribution& dist = distributions_[t];
-    const double cost = audit_costs_[t];
-    const double b = thresholds_[t];
-    const int per_type_cap = static_cast<int>(std::floor(b / cost));
+  const prob::CountDistribution& dist = distributions_[t];
+  const double cost = audit_costs_[t];
+  const double b = thresholds_[t];
+  const int per_type_cap = static_cast<int>(std::floor(b / cost));
 
-    // Consumption distribution: cell(min(b, z * C)) aggregated over z.
-    // Once z * C >= b every z consumes exactly b, so the support is small.
-    // Under kReserved the whole threshold is consumed deterministically.
-    cell_prob_scratch_.assign(static_cast<size_t>(grid_size_), 0.0);
-    for (int z = dist.min_value(); z <= dist.max_value(); ++z) {
-      const double consumed =
-          options_.consumption == Consumption::kReserved ? b
-                                                         : std::min(b, z * cost);
-      int cell = static_cast<int>(std::llround(consumed / unit));
-      cell = std::min(cell, grid_size_ - 1);
-      cell_prob_scratch_[static_cast<size_t>(cell)] += dist.Pmf(z);
+  // Consumption distribution: cell(min(b, z * C)) aggregated over z.
+  // Once z * C >= b every z consumes exactly b, so the support is small.
+  // Under kReserved the whole threshold is consumed deterministically.
+  cell_prob_scratch_.assign(static_cast<size_t>(grid_size_), 0.0);
+  for (int z = dist.min_value(); z <= dist.max_value(); ++z) {
+    const double consumed =
+        options_.consumption == Consumption::kReserved ? b
+                                                       : std::min(b, z * cost);
+    int cell = static_cast<int>(std::llround(consumed / unit));
+    cell = std::min(cell, grid_size_ - 1);
+    cell_prob_scratch_[static_cast<size_t>(cell)] += dist.Pmf(z);
+  }
+  auto& sparse = consumption_[t];
+  sparse.clear();
+  for (int cell = 0; cell < grid_size_; ++cell) {
+    if (cell_prob_scratch_[static_cast<size_t>(cell)] > 0) {
+      sparse.emplace_back(cell, cell_prob_scratch_[static_cast<size_t>(cell)]);
     }
-    auto& sparse = consumption_[t];
-    sparse.clear();
-    for (int cell = 0; cell < grid_size_; ++cell) {
-      if (cell_prob_scratch_[static_cast<size_t>(cell)] > 0) {
-        sparse.emplace_back(cell, cell_prob_scratch_[static_cast<size_t>(cell)]);
+  }
+
+  // g_t(consumed_cells) = E_z[DetectionTerm(capacity, z)].
+  auto& g = g_[t];
+  g.assign(static_cast<size_t>(grid_size_), 0.0);
+  for (int s = 0; s < grid_size_; ++s) {
+    const double remaining = budget_ - s * unit;
+    const int budget_cap =
+        std::max(static_cast<int>(std::floor(remaining / cost)), 0);
+    const int capacity = std::min(budget_cap, per_type_cap);
+    double value = 0.0;
+    if (capacity > 0) {
+      // Branchy per-z term, so the expectation reduces through the
+      // canonical blocked accumulator rather than a vector kernel.
+      math::BlockedAccumulator acc;
+      for (int z = dist.min_value(); z <= dist.max_value(); ++z) {
+        acc.Add(dist.Pmf(z) * DetectionTerm(options_.semantics, capacity, z));
+      }
+      value = acc.Total();
+      if (options_.semantics == Semantics::kRatioOfExpectations) {
+        value = std::min(value / mean_z_[static_cast<size_t>(t)], 1.0);
       }
     }
-
-    // g_t(consumed_cells) = E_z[DetectionTerm(capacity, z)].
-    auto& g = g_[t];
-    g.assign(static_cast<size_t>(grid_size_), 0.0);
-    for (int s = 0; s < grid_size_; ++s) {
-      const double remaining = budget_ - s * unit;
-      const int budget_cap =
-          std::max(static_cast<int>(std::floor(remaining / cost)), 0);
-      const int capacity = std::min(budget_cap, per_type_cap);
-      double value = 0.0;
-      if (capacity > 0) {
-        // Branchy per-z term, so the expectation reduces through the
-        // canonical blocked accumulator rather than a vector kernel.
-        math::BlockedAccumulator acc;
-        for (int z = dist.min_value(); z <= dist.max_value(); ++z) {
-          acc.Add(dist.Pmf(z) * DetectionTerm(options_.semantics, capacity, z));
-        }
-        value = acc.Total();
-        if (options_.semantics == Semantics::kRatioOfExpectations) {
-          value = std::min(value / mean_z_[static_cast<size_t>(t)], 1.0);
-        }
-      }
-      g[static_cast<size_t>(s)] = value;
-    }
+    g[static_cast<size_t>(s)] = value;
   }
 }
 
-void DetectionModel::PrepareMcTables() {
-  const int t_count = num_types();
+void DetectionModel::PrepareMcTables(int t) {
   const size_t k_count = static_cast<size_t>(options_.mc_samples);
-  mc_consumption_.resize(samples_.size());
-  for (int t = 0; t < t_count; ++t) {
-    const double b = thresholds_[t];
-    const double cost = audit_costs_[t];
-    const int* z_row = samples_.data() + static_cast<size_t>(t) * k_count;
-    double* out_row = mc_consumption_.data() + static_cast<size_t>(t) * k_count;
-    if (options_.consumption == Consumption::kReserved) {
-      for (size_t k = 0; k < k_count; ++k) out_row[k] = b;
-    } else {
-      for (size_t k = 0; k < k_count; ++k) {
-        out_row[k] = std::min(b, z_row[k] * cost);
-      }
+  const double b = thresholds_[t];
+  const double cost = audit_costs_[t];
+  const int* z_row = samples_.data() + static_cast<size_t>(t) * k_count;
+  double* out_row = mc_consumption_.data() + static_cast<size_t>(t) * k_count;
+  if (options_.consumption == Consumption::kReserved) {
+    for (size_t k = 0; k < k_count; ++k) out_row[k] = b;
+  } else {
+    for (size_t k = 0; k < k_count; ++k) {
+      out_row[k] = std::min(b, z_row[k] * cost);
     }
   }
 }

@@ -76,8 +76,10 @@ class DetectionModel {
   }
 
   /// Installs the threshold vector used by subsequent queries. Negative
-  /// entries are invalid. Cheap enough to call inside search loops
-  /// (O(T * support) precomputation).
+  /// entries are invalid. Cheap enough to call inside search loops: only
+  /// the types whose threshold changed since the previous call have their
+  /// tables rebuilt (O(support) each), and the result is bit-identical to
+  /// installing the same vector on a fresh model.
   util::Status SetThresholds(const std::vector<double>& thresholds);
 
   const std::vector<double>& thresholds() const { return thresholds_; }
@@ -129,14 +131,17 @@ class DetectionModel {
  private:
   DetectionModel() = default;
 
-  void PrepareExactTables();
-  void PrepareMcTables();
+  // Rebuild type t's tables from thresholds_[t].
+  void PrepareExactTables(int t);
+  void PrepareMcTables(int t);
 
   Options options_;
   double budget_ = 0.0;
   std::vector<double> audit_costs_;
   std::vector<prob::CountDistribution> distributions_;
   std::vector<double> thresholds_;
+  // False until the first SetThresholds builds every type's tables.
+  bool tables_ready_ = false;
   std::vector<double> mean_z_;  // E[Z_t], for kRatioOfExpectations
 
   // --- kExact state ---

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <map>
 #include <memory>
 #include <set>
 
 #include "core/game_lp.h"
-#include "util/arena.h"
 #include "util/combinatorics.h"
 #include "util/thread_pool.h"
 
@@ -58,22 +58,23 @@ util::StatusOr<IshmResult> SolveIshm(const GameInstance& instance,
 
   // Memoized evaluation of a raw threshold vector. The effective/key
   // buffers persist across the sweep's hundreds of candidate evaluations;
-  // only a cache miss materializes a stored key.
+  // only a cache miss materializes a stored key. Results are handed out by
+  // pointer into the memo (map nodes never move), so a revisit copies no
+  // policy.
   std::map<std::vector<int64_t>, ThresholdEvaluation> cache;
   std::vector<double> effective_buf;
   std::vector<int64_t> key_buf;
-  auto evaluate =
-      [&](const std::vector<double>& raw) -> util::StatusOr<ThresholdEvaluation> {
+  auto evaluate = [&](const std::vector<double>& raw)
+      -> util::StatusOr<const ThresholdEvaluation*> {
     ++result.stats.evaluations;
     EffectiveThresholdsInto(raw, instance.audit_costs,
                             options.floor_to_audit_cost, effective_buf);
     CacheKeyInto(effective_buf, key_buf);
     auto it = cache.find(key_buf);
-    if (it != cache.end()) return it->second;
+    if (it != cache.end()) return &it->second;
     ++result.stats.distinct_evaluations;
     ASSIGN_OR_RETURN(ThresholdEvaluation eval, evaluator(effective_buf));
-    cache.emplace(key_buf, eval);
-    return eval;
+    return &cache.emplace(key_buf, std::move(eval)).first->second;
   };
 
   // Line 1: initialize with the full-coverage upper bounds, or — warm
@@ -99,17 +100,16 @@ util::StatusOr<IshmResult> SolveIshm(const GameInstance& instance,
                                   : t_count;
 
   double best_objective = std::numeric_limits<double>::infinity();
-  ThresholdEvaluation best_eval;
-  bool have_best = false;
+  const ThresholdEvaluation* best_eval = nullptr;
   if (warm_started) {
     // The seed is (near-)optimal already; evaluating it first means shrinks
     // must strictly beat it, where a cold start accepts the best first-round
     // shrink unconditionally.
     ASSIGN_OR_RETURN(best_eval, evaluate(thresholds));
-    best_objective = best_eval.objective;
-    have_best = true;
+    best_objective = best_eval->objective;
   }
 
+  std::vector<double> temp;  // candidate vector, reused across the sweep
   int lh = 1;
   while (lh <= subset_cap) {
     const std::vector<std::vector<int>> combos =
@@ -120,14 +120,13 @@ util::StatusOr<IshmResult> SolveIshm(const GameInstance& instance,
       const double ratio = std::max(0.0, 1.0 - i * options.step_size);
       double round_best = std::numeric_limits<double>::infinity();
       int round_best_combo = -1;
-      ThresholdEvaluation round_best_eval;
-      std::vector<double> temp;
+      const ThresholdEvaluation* round_best_eval = nullptr;
       for (size_t j = 0; j < combos.size(); ++j) {
         temp.assign(thresholds.begin(), thresholds.end());
         for (int idx : combos[j]) temp[idx] *= ratio;
-        ASSIGN_OR_RETURN(ThresholdEvaluation eval, evaluate(temp));
-        if (eval.objective < round_best) {
-          round_best = eval.objective;
+        ASSIGN_OR_RETURN(const ThresholdEvaluation* eval, evaluate(temp));
+        if (eval->objective < round_best) {
+          round_best = eval->objective;
           round_best_combo = static_cast<int>(j);
           round_best_eval = eval;
         }
@@ -135,7 +134,6 @@ util::StatusOr<IshmResult> SolveIshm(const GameInstance& instance,
       if (round_best < best_objective - 1e-12) {
         best_objective = round_best;
         best_eval = round_best_eval;
-        have_best = true;
         ++result.stats.improvements;
         for (int idx : combos[static_cast<size_t>(round_best_combo)]) {
           thresholds[idx] *= ratio;
@@ -156,10 +154,10 @@ util::StatusOr<IshmResult> SolveIshm(const GameInstance& instance,
     }
   }
 
-  if (!have_best) {
+  if (best_eval == nullptr) {
     // Degenerate epsilon (ratio list empty); evaluate the initial vector.
     ASSIGN_OR_RETURN(best_eval, evaluate(thresholds));
-    best_objective = best_eval.objective;
+    best_objective = best_eval->objective;
   }
 
   result.objective = best_objective;
@@ -167,7 +165,7 @@ util::StatusOr<IshmResult> SolveIshm(const GameInstance& instance,
   EffectiveThresholdsInto(thresholds, instance.audit_costs,
                           options.floor_to_audit_cost,
                           result.effective_thresholds);
-  result.policy = best_eval.policy;
+  result.policy = best_eval->policy;
   return result;
 }
 
@@ -187,38 +185,48 @@ ThresholdEvaluator MakeFullLpEvaluator(const CompiledGame& game,
 ThresholdEvaluator MakeCggsEvaluator(const CompiledGame& game,
                                      DetectionModel& detection,
                                      CggsOptions options) {
-  // Shared warm-start pool across evaluations: the support of every solved
-  // LP is fed back as initial columns of the next solve.
-  auto pool = std::make_shared<std::set<std::vector<int>>>();
-  // One pricing thread pool for the evaluator's lifetime — ISHM submits
-  // hundreds of evaluations per policy, far too many to pay a thread
-  // spawn+join each (result-neutral either way; see CggsOptions).
-  std::shared_ptr<util::ThreadPool> pricing_pool;
+  // Everything an evaluation reuses from the previous one, shared by the
+  // evaluator's copies.
+  struct State {
+    // Warm-start pool: the support of every solved LP is fed back as
+    // initial columns of the next solve.
+    std::set<std::vector<int>> pool;
+    // One pricing thread pool for the evaluator's lifetime — ISHM submits
+    // hundreds of evaluations per policy, far too many to pay a thread
+    // spawn+join each (result-neutral either way; see CggsOptions).
+    std::unique_ptr<util::ThreadPool> pricing_pool;
+    // The caller's options, with the pool appended to its own
+    // initial_orderings (the first `fixed_seeds` entries) before each solve.
+    CggsOptions options;
+    size_t fixed_seeds = 0;
+    // One master, column set and pricing scratch — and, unless the caller
+    // shares a workspace, one arena pool — for every evaluation: the first
+    // solve sizes them, later ones reset them in place (bit-identical to a
+    // fresh solve; see CggsScratch).
+    CggsScratch scratch;
+  };
+  auto state = std::make_shared<State>();
   if (options.pricing_threads > 1 && options.pricing_pool == nullptr) {
-    pricing_pool = std::make_shared<util::ThreadPool>(options.pricing_threads);
+    state->pricing_pool =
+        std::make_unique<util::ThreadPool>(options.pricing_threads);
+    options.pricing_pool = state->pricing_pool.get();
   }
-  // Likewise one scratch workspace for the evaluator's lifetime: the first
-  // solve sizes the arenas, every later evaluation reuses them and runs
-  // allocation-free on the pricing and simplex hot paths.
-  std::shared_ptr<util::WorkspacePool> workspace;
-  if (options.workspace == nullptr) {
-    workspace = std::make_shared<util::WorkspacePool>();
-  }
-  return [&game, &detection, options, pool, pricing_pool, workspace](
-             const std::vector<double>& thresholds)
+  state->fixed_seeds = options.initial_orderings.size();
+  state->options = std::move(options);
+  return [&game, &detection, state](const std::vector<double>& thresholds)
              -> util::StatusOr<ThresholdEvaluation> {
-    CggsOptions local = options;
-    if (pricing_pool != nullptr) local.pricing_pool = pricing_pool.get();
-    if (workspace != nullptr) local.workspace = workspace.get();
-    local.initial_orderings.insert(local.initial_orderings.end(),
-                                   pool->begin(), pool->end());
+    std::vector<std::vector<int>>& seeds = state->options.initial_orderings;
+    seeds.resize(state->fixed_seeds + state->pool.size());
+    std::copy(state->pool.begin(), state->pool.end(),
+              seeds.begin() + static_cast<std::ptrdiff_t>(state->fixed_seeds));
     ASSIGN_OR_RETURN(CggsResult cggs,
-                     SolveCggs(game, detection, thresholds, local));
-    for (const auto& o : cggs.policy.orderings) pool->insert(o);
+                     SolveCggs(game, detection, thresholds, state->options,
+                               state->scratch));
+    for (const auto& o : cggs.policy.orderings) state->pool.insert(o);
     // Keep the pool bounded: beyond ~4x the type count the extra columns
     // slow the master LP more than they help.
     const size_t cap = static_cast<size_t>(4 * game.num_types + 8);
-    while (pool->size() > cap) pool->erase(pool->begin());
+    while (state->pool.size() > cap) state->pool.erase(state->pool.begin());
     ThresholdEvaluation eval;
     eval.objective = cggs.objective;
     eval.policy = std::move(cggs.policy);

@@ -17,7 +17,6 @@ RestrictedMasterLp::RestrictedMasterLp(const CompiledGame& game,
   model_.Reserve(static_cast<int>(num_groups) + expected,
                  static_cast<int>(num_victim_rows) + 1);
   po_vars_.reserve(static_cast<size_t>(expected));
-  pal_per_ordering_.reserve(static_cast<size_t>(expected));
   u_vars_.reserve(num_groups);
   for (size_t g = 0; g < num_groups; ++g) {
     const double lb = game_.groups[g].can_opt_out ? 0.0 : -lp::kInfinity;
@@ -68,8 +67,14 @@ util::Status RestrictedMasterLp::AddOrdering(
   }
   model_.AddCoefficient(convexity_row_, var, 1.0);
   po_vars_.push_back(var);
-  pal_per_ordering_.push_back(pal_scratch_);
   return util::OkStatus();
+}
+
+void RestrictedMasterLp::Reset() {
+  model_.TruncateVariables(static_cast<int>(u_vars_.size()));
+  po_vars_.clear();
+  has_basis_ = false;
+  stats_ = Stats();
 }
 
 util::StatusOr<RestrictedLpSolution> RestrictedMasterLp::Solve() {

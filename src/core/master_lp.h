@@ -27,10 +27,15 @@ namespace auditgame::core {
 /// phase 1 entirely and typically needs a handful of pivots, where the
 /// pre-incremental path paid a full cold two-phase solve per round.
 ///
-/// The Pal vectors of added orderings are computed against the thresholds
-/// installed in `detection` at AddOrdering time; callers that change
-/// thresholds must build a fresh master (CGGS installs thresholds once,
-/// before its loop).
+/// A column's coefficients are computed against the thresholds installed
+/// in `detection` at AddOrdering time. When the thresholds change, Reset()
+/// rewinds the master to its u_g columns and forgets the basis; the caller
+/// then installs the new thresholds and re-adds its columns. The model's
+/// rows keep their capacity and the solve buffers are kept, so one master
+/// serves a whole ISHM solve (one CGGS run per threshold vector) without
+/// rebuilding, and every run after a Reset adds the same columns in the
+/// same order and cold-solves from the slack basis exactly like a freshly
+/// built master: the results are bit-identical.
 class RestrictedMasterLp {
  public:
   struct Options {
@@ -70,6 +75,10 @@ class RestrictedMasterLp {
 
   int num_orderings() const { return static_cast<int>(po_vars_.size()); }
 
+  /// Drops every ordering column, the saved basis and the stats, returning
+  /// the master to its just-constructed state while keeping all storage.
+  void Reset();
+
   /// Solves the current restricted master; requires at least one ordering.
   /// Incremental mode re-solves from the previous optimal basis when one
   /// is available.
@@ -93,7 +102,6 @@ class RestrictedMasterLp {
   std::vector<int> u_vars_;
   std::vector<std::vector<int>> victim_rows_;
   int convexity_row_ = -1;
-  std::vector<std::vector<double>> pal_per_ordering_;
 
   lp::Basis basis_;
   bool has_basis_ = false;
@@ -102,8 +110,7 @@ class RestrictedMasterLp {
   // Reused across solves/additions so the steady-state pricing loop is
   // allocation-free: the revised backend refills `revised_` in place (its
   // basis buffers swap with `basis_` each accepted solve), and AddOrdering
-  // evaluates Pal into `pal_prefix_`/`pal_scratch_` before copying the one
-  // persistent vector into pal_per_ordering_.
+  // evaluates Pal into `pal_prefix_`/`pal_scratch_`.
   lp::RevisedSolution revised_;
   DetectionModel::Prefix pal_prefix_;
   std::vector<double> pal_scratch_;

@@ -37,6 +37,27 @@ void LpModel::AddCoefficient(int row, int var, double value) {
   r.coeffs.push_back(value);
 }
 
+void LpModel::TruncateVariables(int num_variables) {
+  if (num_variables < 0) num_variables = 0;
+  if (num_variables >= this->num_variables()) return;
+  const size_t keep = static_cast<size_t>(num_variables);
+  costs_.resize(keep);
+  lower_.resize(keep);
+  upper_.resize(keep);
+  var_names_.resize(keep);
+  for (Row& r : rows_) {
+    size_t out = 0;
+    for (size_t k = 0; k < r.vars.size(); ++k) {
+      if (r.vars[k] >= num_variables) continue;
+      r.vars[out] = r.vars[k];
+      r.coeffs[out] = r.coeffs[k];
+      ++out;
+    }
+    r.vars.resize(out);
+    r.coeffs.resize(out);
+  }
+}
+
 double LpModel::RowActivity(int row, const std::vector<double>& x) const {
   const Row& r = rows_[row];
   double activity = 0.0;

@@ -69,6 +69,13 @@ class LpModel {
     rows_[row].coeffs.reserve(entries);
   }
 
+  /// Drops every variable with index >= `num_variables` together with its
+  /// coefficients, keeping all rows and every storage capacity, so a
+  /// builder can rewind to a shared prefix and append fresh variables
+  /// without touching the heap. The remaining entries keep their order.
+  /// No-op when `num_variables` >= num_variables().
+  void TruncateVariables(int num_variables);
+
   /// Adds a constant to the objective (useful when substituting out fixed
   /// variable parts); reported objective includes it.
   void AddObjectiveConstant(double value) { objective_constant_ += value; }

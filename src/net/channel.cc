@@ -127,28 +127,34 @@ void FrameChannel::Run() {
   const size_t max_write_buffer =
       static_cast<size_t>(options_.window) *
       (options_.max_frame_payload + kFrameHeaderBytes);
+  // The backoff doubles after every failed dial — a refused connect, or a
+  // peer that accepts and drops before any response within the backoff —
+  // and resets once a connection delivers a response or outlives the
+  // backoff, so a backend that keeps closing fresh connections is
+  // re-dialled on the backoff schedule, and a healthy idle connection that
+  // drops is re-dialled at once.
   int backoff_ms = options_.reconnect_backoff_min_ms;
+  const auto back_off = [this, &backoff_ms] {
+    // Interruptible by BeginShutdown's wake.
+    auto events = poller_.Wait(backoff_ms);
+    if (events.ok()) {
+      for (const PollEvent& event : *events) {
+        if (event.fd == wake_.fd()) wake_.Drain();
+      }
+    }
+    backoff_ms = std::min(backoff_ms * 2, options_.reconnect_backoff_max_ms);
+  };
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (shutdown_) break;
     }
     auto socket = ConnectTcp(host_, port_);
-    if (!socket.ok()) {
-      // Backoff, interruptible by BeginShutdown's wake.
-      auto events = poller_.Wait(backoff_ms);
-      if (events.ok()) {
-        for (const PollEvent& event : *events) {
-          if (event.fd == wake_.fd()) wake_.Drain();
-        }
-      }
-      backoff_ms =
-          std::min(backoff_ms * 2, options_.reconnect_backoff_max_ms);
+    if (!socket.ok() || !SetNonBlocking(socket->fd()).ok()) {
+      back_off();
       continue;
     }
-    if (!SetNonBlocking(socket->fd()).ok()) continue;
     (void)SetNoDelay(socket->fd());
-    backoff_ms = options_.reconnect_backoff_min_ms;
     connects_.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -157,10 +163,17 @@ void FrameChannel::Run() {
     up_.store(true, std::memory_order_release);
     if (events_.on_state) events_.on_state(true);
 
+    const int64_t received_before =
+        frames_received_.load(std::memory_order_relaxed);
+    const auto connected_at = std::chrono::steady_clock::now();
     Connection conn(std::move(*socket), options_.max_frame_payload,
                     max_write_buffer);
     PumpConnection(conn);
     poller_.Forget(conn.fd());
+    const bool healthy =
+        frames_received_.load(std::memory_order_relaxed) > received_before ||
+        std::chrono::steady_clock::now() - connected_at >=
+            std::chrono::milliseconds(backoff_ms);
 
     up_.store(false, std::memory_order_release);
     bool shutting_down;
@@ -173,8 +186,13 @@ void FrameChannel::Run() {
     disconnects_.fetch_add(1, std::memory_order_relaxed);
     if (events_.on_state) events_.on_state(false);
     if (shutting_down) break;
-    // Reconnect immediately: a refused connect falls into the backoff
-    // path above on its own.
+    if (healthy) {
+      // A working backend dropped: reconnect at once (a refused connect
+      // backs off on its own).
+      backoff_ms = options_.reconnect_backoff_min_ms;
+    } else {
+      back_off();
+    }
   }
 }
 

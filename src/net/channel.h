@@ -30,8 +30,10 @@ struct FrameChannelOptions {
   /// caller's periodic pings guarantee outstanding traffic exists, so a
   /// silently dead peer (not just a closed one) is detected too.
   int response_timeout_ms = 5000;
-  /// Reconnect backoff: doubles from min to max on consecutive failures,
-  /// resets on success.
+  /// Reconnect backoff: doubles from min to max after every failed dial (a
+  /// refused connect, or a peer that accepted and dropped before any
+  /// response and before the backoff elapsed); resets once a connection
+  /// delivers a response or outlives the backoff.
   int reconnect_backoff_min_ms = 50;
   int reconnect_backoff_max_ms = 2000;
   size_t max_frame_payload = kDefaultMaxFramePayload;

@@ -31,10 +31,12 @@ util::Status Poller::Watch(int fd, bool read, bool write) {
   if (read) ev.events |= EPOLLIN;
   if (write) ev.events |= EPOLLOUT;
   ev.data.fd = fd;
-  const bool known = watched_.count(fd) != 0;
+  const auto it = watched_.find(fd);
+  const bool known = it != watched_.end();
+  if (known && it->second == ev.events) return util::OkStatus();
   if (::epoll_ctl(epoll_.fd(), known ? EPOLL_CTL_MOD : EPOLL_CTL_ADD, fd,
                   &ev) == 0) {
-    watched_.insert(fd);
+    watched_[fd] = ev.events;
     return util::OkStatus();
   }
   // The kernel's view can disagree with ours after an fd was closed and
@@ -43,7 +45,7 @@ util::Status Poller::Watch(int fd, bool read, bool write) {
   const int first_errno = errno;
   if (::epoll_ctl(epoll_.fd(), known ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, fd,
                   &ev) == 0) {
-    watched_.insert(fd);
+    watched_[fd] = ev.events;
     return util::OkStatus();
   }
   watched_.erase(fd);

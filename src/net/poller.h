@@ -2,7 +2,8 @@
 #define AUDIT_GAME_NET_POLLER_H_
 
 #include <cstddef>
-#include <set>
+#include <cstdint>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -38,9 +39,14 @@ class Poller {
   static util::StatusOr<Poller> Create();
 
   /// Registers `fd` or updates its interest set. `read`/`write` select the
-  /// events to wake on (hangup/error always wake). Fails when the kernel
-  /// refuses the descriptor (a regular file: EPERM) — the fd is then not
-  /// watched and the caller must not wait on it.
+  /// events to wake on (hangup/error always wake). Re-watching with the
+  /// interest already registered is free: no syscall (a reactor re-watches
+  /// after every reply). Fails when the kernel refuses the descriptor (a
+  /// regular file: EPERM) — the fd is then not watched and the caller must
+  /// not wait on it.
+  ///
+  /// Forget an fd before closing it: the poller cannot see a close, and a
+  /// reused fd number with an unchanged interest would stay unregistered.
   util::Status Watch(int fd, bool read, bool write);
 
   /// Stops watching `fd` (no-op if unknown).
@@ -59,8 +65,9 @@ class Poller {
   explicit Poller(Socket epoll) : epoll_(std::move(epoll)) {}
 
   Socket epoll_;
-  /// fds we believe the kernel is watching (epoll needs ADD vs MOD).
-  std::set<int> watched_;
+  /// fds we believe the kernel is watching (epoll needs ADD vs MOD), each
+  /// with the epoll event mask it is registered with.
+  std::unordered_map<int, uint32_t> watched_;
 };
 
 }  // namespace auditgame::net

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include "core/game_lp.h"
 #include "data/syn_a.h"
 #include "tests/test_util.h"
@@ -165,6 +169,57 @@ TEST(CggsTest, MaxColumnsCapRespected) {
   const auto result = SolveCggs(*compiled, *detection, {3.0, 3.0, 3.0}, options);
   ASSERT_TRUE(result.ok());
   EXPECT_LE(result->columns.size(), 2u);
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// One scratch reused across threshold vectors and warm-start columns (as
+// the ISHM evaluator reuses it) must reproduce the stand-alone solve
+// exactly, in both master modes: the first solve builds the master and
+// every later one Resets it.
+TEST(CggsTest, ReusedScratchMatchesStandAloneSolves) {
+  const GameInstance instance = MakeMediumGame();
+  const auto game = Compile(instance);
+  ASSERT_TRUE(game.ok());
+  auto detection = DetectionModel::Create(instance, 5.0);
+  ASSERT_TRUE(detection.ok());
+
+  const std::vector<std::vector<double>> probes = {
+      {3.0, 3.0, 3.0}, {3.0, 1.0, 3.0}, {2.0, 4.0, 1.0}, {3.0, 3.0, 3.0}};
+  for (const auto mode : {CggsOptions::MasterMode::kIncrementalRevised,
+                          CggsOptions::MasterMode::kColdDense}) {
+    CggsScratch scratch;
+    for (size_t i = 0; i < probes.size(); ++i) {
+      CggsOptions options;
+      options.master_mode = mode;
+      if (i == 1) options.initial_orderings = {{2, 1, 0}, {0, 1, 2}};
+      const auto reused =
+          SolveCggs(*game, *detection, probes[i], options, scratch);
+      const auto alone = SolveCggs(*game, *detection, probes[i], options);
+      ASSERT_TRUE(reused.ok()) << i;
+      ASSERT_TRUE(alone.ok()) << i;
+      EXPECT_TRUE(reused->columns.empty()) << i;
+      EXPECT_EQ(scratch.columns, alone->columns) << i;
+      EXPECT_EQ(Bits(reused->objective), Bits(alone->objective)) << i;
+      EXPECT_EQ(reused->policy.orderings, alone->policy.orderings) << i;
+      ASSERT_EQ(reused->policy.probabilities.size(),
+                alone->policy.probabilities.size());
+      for (size_t o = 0; o < alone->policy.probabilities.size(); ++o) {
+        EXPECT_EQ(Bits(reused->policy.probabilities[o]),
+                  Bits(alone->policy.probabilities[o]))
+            << i;
+      }
+      EXPECT_EQ(reused->lp_solves, alone->lp_solves) << i;
+      EXPECT_EQ(reused->warm_lp_solves, alone->warm_lp_solves) << i;
+      EXPECT_EQ(reused->master_lp_iterations, alone->master_lp_iterations)
+          << i;
+      EXPECT_EQ(reused->columns_generated, alone->columns_generated) << i;
+    }
+  }
 }
 
 }  // namespace

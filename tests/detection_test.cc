@@ -1,7 +1,11 @@
 #include "core/detection.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -157,6 +161,61 @@ TEST(DetectionModelTest, PrefixApiMatchesFullEvaluation) {
   const double pal0 = model->PalGivenPrefix(prefix, 0);
   EXPECT_NEAR(pal1, (*full)[1], 1e-12);
   EXPECT_NEAR(pal0, (*full)[0], 1e-12);
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits(values.size());
+  std::memcpy(bits.data(), values.data(), values.size() * sizeof(double));
+  return bits;
+}
+
+// Re-thresholding one model in place must give the same Pal bits, for every
+// ordering, as a fresh model given the same vector: SetThresholds rebuilds
+// only the types whose threshold changed, so this covers the first call
+// (from the all-zero initial state, where nothing "changed"), a repeat,
+// a one-type change, an all-type change and a change back.
+TEST(DetectionModelTest, RethresholdingMatchesFreshModelBitForBit) {
+  const GameInstance instance = testutil::MakeMediumGame();
+  const std::vector<std::vector<double>> sequence = {
+      {0.0, 0.0, 0.0}, {3.0, 2.0, 4.0}, {3.0, 2.0, 4.0},
+      {3.0, 1.0, 4.0}, {1.0, 3.0, 2.0}, {3.0, 2.0, 4.0}};
+  std::vector<std::vector<int>> orderings;
+  std::vector<int> ordering = {0, 1, 2};
+  do {
+    orderings.push_back(ordering);
+  } while (std::next_permutation(ordering.begin(), ordering.end()));
+
+  for (const DetectionModel::Mode mode :
+       {DetectionModel::Mode::kExact, DetectionModel::Mode::kMonteCarlo}) {
+    for (const DetectionModel::Semantics semantics :
+         {DetectionModel::Semantics::kExpectedRatio,
+          DetectionModel::Semantics::kRatioOfExpectations}) {
+      DetectionModel::Options options;
+      options.mode = mode;
+      options.semantics = semantics;
+      options.mc_samples = 300;
+      auto reused = DetectionModel::Create(instance, 7.0, options);
+      ASSERT_TRUE(reused.ok());
+      for (size_t step = 0; step < sequence.size(); ++step) {
+        const std::vector<double>& thresholds = sequence[step];
+        ASSERT_TRUE(reused->SetThresholds(thresholds).ok());
+        auto fresh = DetectionModel::Create(instance, 7.0, options);
+        ASSERT_TRUE(fresh.ok());
+        ASSERT_TRUE(fresh->SetThresholds(thresholds).ok());
+        EXPECT_EQ(reused->thresholds(), thresholds);
+        for (const std::vector<int>& o : orderings) {
+          const auto got = reused->DetectionProbabilities(o);
+          const auto want = fresh->DetectionProbabilities(o);
+          ASSERT_TRUE(got.ok());
+          ASSERT_TRUE(want.ok());
+          EXPECT_EQ(Bits(*got), Bits(*want))
+              << "mode " << static_cast<int>(mode) << " semantics "
+              << static_cast<int>(semantics) << " step " << step
+              << " ordering " << o[0] << o[1] << o[2];
+        }
+      }
+    }
+  }
 }
 
 TEST(DetectionModelTest, MorePrefixConsumptionLowersPal) {

@@ -77,6 +77,14 @@ class LoopbackPeer {
 
   uint16_t port() const { return port_; }
 
+  /// Closes every connection as soon as it is accepted, until `done`.
+  bool AcceptAndCloseUntil(const std::function<bool()>& done) {
+    return WaitFor([&] {
+      (void)AcceptAll(listener_);  // the accepted sockets close here
+      return done();
+    });
+  }
+
   /// Waits for the channel's next connection.
   PeerConnection Accept() {
     PeerConnection conn;
@@ -241,6 +249,53 @@ TEST(FrameChannelTest, SilentPeerTripsTheResponseTimeout) {
 
   channel.BeginShutdown();
   channel.Join();
+}
+
+// A backend that accepts and at once closes never answers, so each of
+// its connections counts as a failure: the channel re-dials on the
+// doubling backoff schedule (default 50 ms, 100 ms, 200 ms ...), not in a
+// tight loop. Each gap between dials lasts at least the 50 ms minimum
+// (waited out, or lived through by a connection that outlived it), so
+// four dials take at least 150 ms; a tight loop makes them in a few.
+TEST(FrameChannelTest, PeerThatClosesEveryConnectionIsRedialledWithBackoff) {
+  LoopbackPeer peer;
+  Recorder recorder;
+  FrameChannel channel("127.0.0.1", peer.port(), FrameChannelOptions(),
+                       recorder.Events());
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(channel.Start().ok());
+  ASSERT_TRUE(
+      peer.AcceptAndCloseUntil([&] { return channel.connects() >= 4; }));
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(150));
+  channel.BeginShutdown();
+  channel.Join();
+  EXPECT_EQ(channel.frames_received(), 0);
+}
+
+// A connection that outlived the backoff was healthy even though it never
+// answered (an idle backend, say, with pings off): when it drops, the
+// channel re-dials at once instead of waiting out the backoff.
+TEST(FrameChannelTest, IdleConnectionThatOutlivedTheBackoffIsRedialledAtOnce) {
+  LoopbackPeer peer;
+  Recorder recorder;
+  FrameChannelOptions options;
+  options.reconnect_backoff_min_ms = 1000;
+  options.reconnect_backoff_max_ms = 1000;
+  FrameChannel channel("127.0.0.1", peer.port(), options, recorder.Events());
+  ASSERT_TRUE(channel.Start().ok());
+  {
+    PeerConnection first = peer.Accept();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1100));
+  }  // closes the idle connection
+  const auto closed_at = std::chrono::steady_clock::now();
+  ASSERT_TRUE(WaitFor([&] { return channel.connects() == 2; }));
+  // Waiting out the backoff would take the full 1000 ms.
+  EXPECT_LT(std::chrono::steady_clock::now() - closed_at,
+            std::chrono::milliseconds(900));
+  channel.BeginShutdown();
+  channel.Join();
+  EXPECT_EQ(channel.frames_received(), 0);
 }
 
 }  // namespace

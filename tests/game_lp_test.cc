@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include "core/master_lp.h"
 #include "tests/test_util.h"
 
@@ -134,6 +138,81 @@ TEST(RestrictedMasterLpTest, IncrementalMatchesOneShotAtEveryPrefix) {
   // Every re-solve after the first resumed from the previous basis.
   EXPECT_EQ(master.stats().warm_solves,
             static_cast<int>(orderings.size()) - 1);
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits(values.size());
+  std::memcpy(bits.data(), values.data(), values.size() * sizeof(double));
+  return bits;
+}
+
+uint64_t Bits(double value) { return Bits(std::vector<double>{value})[0]; }
+
+void ExpectSameBits(const RestrictedLpSolution& got,
+                    const RestrictedLpSolution& want) {
+  EXPECT_EQ(Bits(got.objective), Bits(want.objective));
+  EXPECT_EQ(Bits(got.ordering_probs), Bits(want.ordering_probs));
+  EXPECT_EQ(Bits(got.convexity_dual), Bits(want.convexity_dual));
+  ASSERT_EQ(got.victim_duals.size(), want.victim_duals.size());
+  for (size_t g = 0; g < got.victim_duals.size(); ++g) {
+    EXPECT_EQ(Bits(got.victim_duals[g]), Bits(want.victim_duals[g])) << g;
+    EXPECT_EQ(Bits(got.group_utilities[g]), Bits(want.group_utilities[g]))
+        << g;
+  }
+}
+
+// A master that is Reset, re-thresholded and refilled must solve exactly
+// like a freshly built one — the contract that lets CGGS keep one master
+// for a whole ISHM solve.
+TEST(RestrictedMasterLpTest, ResetMasterMatchesFreshMasterBitForBit) {
+  const GameInstance instance = MakeMediumGame();
+  const auto compiled = Compile(instance);
+  ASSERT_TRUE(compiled.ok());
+  auto detection = DetectionModel::Create(instance, 5.0);
+  ASSERT_TRUE(detection.ok());
+  RestrictedMasterLp::Options options;
+  options.expected_orderings = 8;
+
+  ASSERT_TRUE(detection->SetThresholds({3.0, 3.0, 3.0}).ok());
+  RestrictedMasterLp reused(*compiled, *detection, options);
+  RestrictedLpSolution before;
+  for (const auto& ordering : std::vector<std::vector<int>>{
+           {0, 1, 2}, {2, 1, 0}, {1, 0, 2}, {2, 0, 1}}) {
+    ASSERT_TRUE(reused.AddOrdering(ordering).ok());
+    ASSERT_TRUE(reused.SolveInto(before).ok());
+  }
+
+  reused.Reset();
+  EXPECT_EQ(reused.num_orderings(), 0);
+  EXPECT_EQ(reused.stats().solves, 0);
+  EXPECT_FALSE(reused.Solve().ok());
+
+  // As many columns as before the Reset, so a stale basis would still fit
+  // the model's shape.
+  ASSERT_TRUE(detection->SetThresholds({2.0, 4.0, 1.0}).ok());
+  RestrictedMasterLp fresh(*compiled, *detection, options);
+  const std::vector<std::vector<int>> columns = {
+      {1, 2, 0}, {0, 2, 1}, {2, 1, 0}, {0, 1, 2}};
+  for (const auto& ordering : columns) {
+    ASSERT_TRUE(reused.AddOrdering(ordering).ok());
+    ASSERT_TRUE(fresh.AddOrdering(ordering).ok());
+  }
+  RestrictedLpSolution got;
+  RestrictedLpSolution want;
+  ASSERT_TRUE(reused.SolveInto(got).ok());
+  ASSERT_TRUE(fresh.SolveInto(want).ok());
+  ExpectSameBits(got, want);
+  EXPECT_EQ(reused.stats().warm_solves, 0);
+
+  // The warm re-solve after one more column matches too.
+  ASSERT_TRUE(reused.AddOrdering({1, 0, 2}).ok());
+  ASSERT_TRUE(fresh.AddOrdering({1, 0, 2}).ok());
+  ASSERT_TRUE(reused.SolveInto(got).ok());
+  ASSERT_TRUE(fresh.SolveInto(want).ok());
+  ExpectSameBits(got, want);
+  EXPECT_EQ(reused.stats().solves, fresh.stats().solves);
+  EXPECT_EQ(reused.stats().warm_solves, fresh.stats().warm_solves);
+  EXPECT_EQ(reused.stats().iterations, fresh.stats().iterations);
 }
 
 TEST(RestrictedMasterLpTest, SolveWithoutColumnsIsRejected) {

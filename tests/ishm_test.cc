@@ -1,13 +1,20 @@
 #include "core/ishm.h"
 
 #include <cmath>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/brute_force.h"
 #include "core/game_lp.h"
 #include "data/syn_a.h"
+#include "scenario/generator.h"
+#include "solver/solver.h"
 #include "tests/test_util.h"
+#include "util/serializer.h"
 
 namespace auditgame::core {
 namespace {
@@ -208,6 +215,111 @@ TEST(IshmTest, WarmSeedIsClampedToUpperBounds) {
   options.initial_thresholds = {100.0, -3.0};
   ASSERT_TRUE(SolveIshm(instance, recording_evaluator, options).ok());
   EXPECT_EQ(first_probe, (std::vector<double>{2.0, 0.0}));
+}
+
+// The CGGS evaluator as it was before it kept one master per ISHM solve:
+// every probe runs the stand-alone SolveCggs (a fresh master, fresh
+// scratch), with the same warm-start column pool.
+ThresholdEvaluator MakeReferenceCggsEvaluator(const CompiledGame& game,
+                                              DetectionModel& detection) {
+  auto pool = std::make_shared<std::set<std::vector<int>>>();
+  return [&game, &detection, pool](const std::vector<double>& thresholds)
+             -> util::StatusOr<ThresholdEvaluation> {
+    CggsOptions options;
+    options.initial_orderings.assign(pool->begin(), pool->end());
+    ASSIGN_OR_RETURN(CggsResult cggs,
+                     SolveCggs(game, detection, thresholds, options));
+    for (const auto& o : cggs.policy.orderings) pool->insert(o);
+    const size_t cap = static_cast<size_t>(4 * game.num_types + 8);
+    while (pool->size() > cap) pool->erase(pool->begin());
+    ThresholdEvaluation eval;
+    eval.objective = cggs.objective;
+    eval.policy = std::move(cggs.policy);
+    return eval;
+  };
+}
+
+// The SolveResult the ishm-cggs backend would serve for `ishm`.
+std::string ResultFingerprint(IshmResult ishm) {
+  solver::SolveResult result;
+  result.solver = "ishm-cggs";
+  result.objective = ishm.objective;
+  result.policy = std::move(ishm.policy);
+  result.thresholds = std::move(ishm.effective_thresholds);
+  result.stats.evaluations = ishm.stats.evaluations;
+  result.stats.distinct_evaluations = ishm.stats.distinct_evaluations;
+  result.stats.improvements = ishm.stats.improvements;
+  return util::FingerprintState(result).ToHex();
+}
+
+// One shared master per SolveIshm (MakeCggsEvaluator) must serve exactly
+// the policy that a fresh master per probe serves, cold and warm-started,
+// under exact and Monte-Carlo detection.
+TEST(IshmTest, SharedMasterEvaluatorMatchesFreshMasterPerProbe) {
+  for (int index = 0; index < 4; ++index) {
+    scenario::ScenarioSpec spec;
+    spec.family = index % 2 == 0 ? scenario::Family::kUniformBaseline
+                                 : scenario::Family::kZipfAlerts;
+    spec.num_types = 4;
+    spec.num_adversaries = 3;
+    spec.victims_per_adversary = 3;
+    spec.seed = static_cast<uint64_t>(900 + index);
+    const auto instance = scenario::Generate(spec);
+    ASSERT_TRUE(instance.ok());
+    const auto compiled = Compile(*instance);
+    ASSERT_TRUE(compiled.ok());
+    DetectionModel::Options detection_options;
+    if (index == 3) {
+      detection_options.mode = DetectionModel::Mode::kMonteCarlo;
+      detection_options.mc_samples = 300;
+    }
+    const double budget = 1.5 * instance->num_types();
+
+    IshmOptions cold;
+    cold.step_size = 0.34;
+    std::string reference_cold;
+    std::vector<double> seed;
+    {
+      auto detection =
+          DetectionModel::Create(*instance, budget, detection_options);
+      ASSERT_TRUE(detection.ok());
+      auto ishm = SolveIshm(
+          *instance, MakeReferenceCggsEvaluator(*compiled, *detection), cold);
+      ASSERT_TRUE(ishm.ok()) << index;
+      EXPECT_GT(ishm->stats.distinct_evaluations, 3) << index;
+      seed = ishm->thresholds;
+      for (double& b : seed) b *= 0.8;
+      reference_cold = ResultFingerprint(*std::move(ishm));
+    }
+    IshmOptions warm = cold;
+    warm.initial_thresholds = seed;
+    warm.max_subset_size = 1;
+    std::string reference_warm;
+    {
+      auto detection =
+          DetectionModel::Create(*instance, budget, detection_options);
+      ASSERT_TRUE(detection.ok());
+      auto ishm = SolveIshm(
+          *instance, MakeReferenceCggsEvaluator(*compiled, *detection), warm);
+      ASSERT_TRUE(ishm.ok()) << index;
+      reference_warm = ResultFingerprint(*std::move(ishm));
+    }
+
+    // One detection model across both runs, as a serving shard re-solves.
+    auto detection =
+        DetectionModel::Create(*instance, budget, detection_options);
+    ASSERT_TRUE(detection.ok());
+    auto shared_cold = SolveIshm(
+        *instance, MakeCggsEvaluator(*compiled, *detection), cold);
+    ASSERT_TRUE(shared_cold.ok()) << index;
+    EXPECT_EQ(ResultFingerprint(*std::move(shared_cold)), reference_cold)
+        << "game " << index;
+    auto shared_warm = SolveIshm(
+        *instance, MakeCggsEvaluator(*compiled, *detection), warm);
+    ASSERT_TRUE(shared_warm.ok()) << index;
+    EXPECT_EQ(ResultFingerprint(*std::move(shared_warm)), reference_warm)
+        << "game " << index;
+  }
 }
 
 TEST(IshmTest, PolicyMatchesReportedObjective) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace auditgame::lp {
 namespace {
 
@@ -46,6 +48,51 @@ TEST(LpModelTest, RowActivityAndObjective) {
   const std::vector<double> point = {2.0, 4.0};
   EXPECT_DOUBLE_EQ(model.RowActivity(row, point), 10.0);
   EXPECT_DOUBLE_EQ(model.Objective(point), 7.0 + 2.0 - 8.0);
+}
+
+TEST(LpModelTest, TruncateVariablesDropsTrailingVariablesAndTheirEntries) {
+  LpModel model;
+  const int x = model.AddVariable(1.0, 0.0, 2.0, "x");
+  const int y = model.AddFreeVariable(-1.0, "y");
+  const int z = model.AddNonNegativeVariable(3.0, "z");
+  const int r0 = model.AddConstraint(Sense::kGreaterEqual, 1.0, "r0");
+  const int r1 = model.AddConstraint(Sense::kEqual, 4.0, "r1");
+  model.ReserveRowEntries(r0, 8);
+  // Entries out of variable order: truncation must compact, not pop.
+  model.AddCoefficient(r0, z, 5.0);
+  model.AddCoefficient(r0, x, 2.0);
+  model.AddCoefficient(r0, y, -3.0);
+  model.AddCoefficient(r1, y, 1.0);
+  model.AddCoefficient(r1, z, 1.0);
+  const size_t r0_capacity = model.row_vars(r0).capacity();
+
+  model.TruncateVariables(2);
+  ASSERT_EQ(model.num_variables(), 2);
+  EXPECT_EQ(model.num_constraints(), 2);
+  EXPECT_EQ(model.row_vars(r0), (std::vector<int>{x, y}));
+  EXPECT_EQ(model.row_coeffs(r0), (std::vector<double>{2.0, -3.0}));
+  EXPECT_EQ(model.row_vars(r1), (std::vector<int>{y}));
+  EXPECT_EQ(model.row_coeffs(r1), (std::vector<double>{1.0}));
+  EXPECT_EQ(model.row_vars(r0).capacity(), r0_capacity);
+  EXPECT_EQ(model.variable_name(y), "y");
+  EXPECT_EQ(model.constraint_name(r1), "r1");
+  EXPECT_DOUBLE_EQ(model.rhs(r1), 4.0);
+
+  // A variable appended after truncation takes the freed index.
+  const int w = model.AddNonNegativeVariable(7.0);
+  EXPECT_EQ(w, 2);
+  EXPECT_EQ(model.variable_name(w), "x2");
+  EXPECT_DOUBLE_EQ(model.cost(w), 7.0);
+  model.AddCoefficient(r1, w, 6.0);
+  EXPECT_EQ(model.row_vars(r1), (std::vector<int>{y, w}));
+
+  model.TruncateVariables(5);  // beyond the end: no-op
+  EXPECT_EQ(model.num_variables(), 3);
+  model.TruncateVariables(0);
+  EXPECT_EQ(model.num_variables(), 0);
+  EXPECT_TRUE(model.row_vars(r0).empty());
+  EXPECT_TRUE(model.row_vars(r1).empty());
+  EXPECT_EQ(model.num_constraints(), 2);
 }
 
 TEST(LpModelTest, ValidateAcceptsWellFormed) {

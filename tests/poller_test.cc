@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -95,6 +96,50 @@ TEST(PollerTest, ForgetStopsReports) {
   EXPECT_TRUE(WaitOk(poller, 0).empty());
   poller.Forget(pair.a.fd());  // unknown fd: no-op
   EXPECT_EQ(poller.watched(), 0u);
+}
+
+TEST(PollerTest, RepeatedWatchWithSameInterestStillReports) {
+  Poller poller = CreatePoller();
+  SocketPair pair;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(poller.Watch(pair.a.fd(), /*read=*/true, /*write=*/false).ok());
+  }
+  EXPECT_EQ(poller.watched(), 1u);
+  EXPECT_TRUE(WaitOk(poller, 0).empty());
+  ASSERT_EQ(::write(pair.b.fd(), "x", 1), 1);
+  auto events = WaitOk(poller, 1000);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_TRUE(events[0].readable);
+
+  // Write interest on, then back to the same read-only interest: the
+  // repeated mask is skipped, the changed ones reach the kernel.
+  ASSERT_TRUE(poller.Watch(pair.a.fd(), /*read=*/true, /*write=*/true).ok());
+  ASSERT_TRUE(poller.Watch(pair.a.fd(), /*read=*/true, /*write=*/false).ok());
+  ASSERT_TRUE(poller.Watch(pair.a.fd(), /*read=*/true, /*write=*/false).ok());
+  events = WaitOk(poller, 1000);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_TRUE(events[0].readable);
+  EXPECT_FALSE(events[0].writable);
+}
+
+TEST(PollerTest, ReusedFdNumberIsRegisteredAgainAfterForget) {
+  Poller poller = CreatePoller();
+  auto first = std::make_unique<SocketPair>();
+  const int fd = first->a.fd();
+  ASSERT_TRUE(poller.Watch(fd, /*read=*/true, /*write=*/false).ok());
+  poller.Forget(fd);
+  first.reset();  // closes both ends; the lowest free numbers are reused
+
+  SocketPair second;
+  ASSERT_EQ(second.a.fd(), fd) << "the kernel did not reuse the fd number";
+  // Same number, same interest as before the Forget: it must still be
+  // registered with the kernel, not skipped as unchanged.
+  ASSERT_TRUE(poller.Watch(fd, /*read=*/true, /*write=*/false).ok());
+  ASSERT_EQ(::write(second.b.fd(), "x", 1), 1);
+  const auto events = WaitOk(poller, 1000);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].fd, fd);
+  EXPECT_TRUE(events[0].readable);
 }
 
 TEST(PollerTest, PeerCloseReportsHangup) {
