@@ -219,12 +219,25 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
   // that are not permutations of this game's type set silently dropped
   // (a cached seed may predate an instance reshape) — or the identity
   // ordering when no valid seed remains.
+  // Q's column buffers are recycled from the previous solve's Q: a column
+  // is copied into a spare buffer, not allocated.
+  std::vector<std::vector<int>>& columns = scratch.columns;
+  std::vector<std::vector<int>>& spare = scratch.spare_columns;
+  for (std::vector<int>& column : columns) spare.push_back(std::move(column));
+  columns.clear();
+  columns.reserve(static_cast<size_t>(std::max(1, options.max_columns)));
+  const auto add_column = [&columns, &spare](const std::vector<int>& ordering) {
+    if (spare.empty()) {
+      columns.push_back(ordering);
+      return;
+    }
+    columns.push_back(std::move(spare.back()));
+    spare.pop_back();
+    columns.back().assign(ordering.begin(), ordering.end());
+  };
   // Membership in Q is checked by linear scan: |Q| is capped at
   // max_columns and the per-round check count is tiny next to pricing, so
   // a scan beats the per-insert node + key-copy allocations of a set.
-  std::vector<std::vector<int>>& columns = scratch.columns;
-  columns.clear();
-  columns.reserve(static_cast<size_t>(std::max(1, options.max_columns)));
   const auto in_columns = [&columns](const std::vector<int>& ordering) {
     for (const std::vector<int>& column : columns) {
       if (column == ordering) return true;
@@ -234,12 +247,12 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
   for (const std::vector<int>& ordering : options.initial_orderings) {
     if (!IsValidOrdering(ordering, game.num_types, scratch.seen)) continue;
     if (in_columns(ordering)) continue;
-    columns.push_back(ordering);
+    add_column(ordering);
   }
   if (columns.empty()) {
-    std::vector<int> identity(game.num_types);
-    std::iota(identity.begin(), identity.end(), 0);
-    columns.push_back(identity);
+    add_column({});
+    columns.back().resize(static_cast<size_t>(game.num_types));
+    std::iota(columns.back().begin(), columns.back().end(), 0);
   }
 
   // The restricted master lives across all pricing iterations: every new
@@ -342,11 +355,12 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
     }
     result.pricing_seconds += pricing_timer.ElapsedSeconds();
     if (best_index < 0) break;  // no improving column
-    // Copy (not move): the candidate slots keep their buffers for reuse
-    // next round; the copy becomes the persistent column.
-    std::vector<int> best_candidate = candidates[static_cast<size_t>(best_index)];
+    // Copied, not moved: the candidate slots keep their buffers for reuse
+    // next round.
+    const std::vector<int>& best_candidate =
+        candidates[static_cast<size_t>(best_index)];
     RETURN_IF_ERROR(master_lp.AddOrdering(best_candidate));
-    columns.push_back(std::move(best_candidate));
+    add_column(best_candidate);
     ++result.columns_generated;
   }
 
@@ -355,8 +369,15 @@ util::StatusOr<CggsResult> SolveCggs(const CompiledGame& game,
   result.master_lp_iterations = master_lp.stats().iterations;
   result.policy.budget = detection.budget();
   result.policy.thresholds = thresholds;
+  const auto in_support = [&master](size_t o) {
+    return master.ordering_probs[o] > 1e-9;
+  };
+  size_t support = 0;
+  for (size_t o = 0; o < columns.size(); ++o) support += in_support(o);
+  result.policy.orderings.reserve(support);
+  result.policy.probabilities.reserve(support);
   for (size_t o = 0; o < columns.size(); ++o) {
-    if (master.ordering_probs[o] > 1e-9) {
+    if (in_support(o)) {
       result.policy.orderings.push_back(columns[o]);
       result.policy.probabilities.push_back(master.ordering_probs[o]);
     }

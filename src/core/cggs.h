@@ -121,6 +121,8 @@ struct CggsScratch {
 
   /// Q: the columns of the last solve, in master order.
   std::vector<std::vector<int>> columns;
+  /// Column buffers of earlier solves' Q, refilled by the next solve.
+  std::vector<std::vector<int>> spare_columns;
   RestrictedLpSolution solution;
   /// Pricing round: the greedy ordering, then the random probes.
   std::vector<std::vector<int>> candidates;

@@ -76,7 +76,8 @@ class Engine {
         cb_(arena_),
         y_(arena_),
         w_(arena_),
-        col_(arena_) {
+        col_(arena_),
+        ratios_(arena_) {
     // Structural columns in CSR-like form, entries ordered by row within
     // each column (the build traverses rows in order).
     col_starts_.assign(static_cast<size_t>(ns_) + 1, 0);
@@ -138,6 +139,7 @@ class Engine {
     y_.reserve(ms);
     w_.reserve(ms);
     col_.reserve(ms);
+    ratios_.resize(ms);
     etas_.reserve(static_cast<size_t>(std::max(1, options_.refactor_interval)));
   }
 
@@ -235,6 +237,12 @@ class Engine {
   struct ColEntry {
     int row;
     double value;
+  };
+
+  // One row's ratio-test result.
+  struct Ratio {
+    double t;
+    bool upper;  // blocks at its upper bound
   };
 
   double FeasTol(double bound) const {
@@ -590,11 +598,12 @@ class Engine {
     constexpr double kTieTol = 1e-9;
     const double flip_t = upper_[entering] - lower_[entering];  // inf ok
 
-    // Pass 1: the tightest blocking ratio.
+    // Pass 1: every row's blocking ratio, kept for pass 2, and the
+    // tightest of them.
     double best_t = kInf;
     for (int k = 0; k < m_; ++k) {
-      const double t = BlockingRatio(phase1, k, -dir * w[k], nullptr);
-      if (t < best_t) best_t = t;
+      ratios_[k] = BlockingRatio(phase1, k, -dir * w[k]);
+      if (ratios_[k].t < best_t) best_t = ratios_[k].t;
     }
 
     if (flip_t <= best_t) {
@@ -616,9 +625,7 @@ class Engine {
     bool to_upper = false;
     double best_pivot = -1.0;
     for (int k = 0; k < m_; ++k) {
-      bool hits_upper = false;
-      const double t = BlockingRatio(phase1, k, -dir * w[k], &hits_upper);
-      if (t > best_t + kTieTol) continue;
+      if (ratios_[k].t > best_t + kTieTol) continue;
       const double pivot = std::fabs(w[k]);
       const bool better =
           leaving < 0 ||
@@ -628,7 +635,7 @@ class Engine {
                      basic_[k] < basic_[leaving])));
       if (better) {
         leaving = k;
-        to_upper = hits_upper;
+        to_upper = ratios_[k].upper;
         best_pivot = pivot;
       }
     }
@@ -658,13 +665,13 @@ class Engine {
   }
 
   // Ratio at which basis position k blocks a move with per-unit step
-  // `delta`, or +inf. In phase 1 a basic variable outside its bounds
+  // `delta`, and which bound it hits; +inf when it never blocks. In phase 1 a basic variable outside its bounds
   // blocks only at the bound it violates (reaching it restores
   // feasibility); moving it further out never blocks — the composite
   // objective accounts for the growing violation.
-  double BlockingRatio(bool phase1, int k, double delta,
-                       bool* hits_upper) const {
-    if (std::fabs(delta) <= options_.pivot_tolerance) return kInf;
+  Ratio BlockingRatio(bool phase1, int k, double delta) const {
+    constexpr Ratio kNone{kInf, false};
+    if (std::fabs(delta) <= options_.pivot_tolerance) return kNone;
     const int col = basic_[k];
     const double x = x_[col];
     const double l = lower_[col];
@@ -672,24 +679,23 @@ class Engine {
     double bound;
     bool upper;
     if (phase1 && x < l - FeasTol(l)) {
-      if (delta <= 0) return kInf;
+      if (delta <= 0) return kNone;
       bound = l;
       upper = false;
     } else if (phase1 && x > u + FeasTol(u)) {
-      if (delta >= 0) return kInf;
+      if (delta >= 0) return kNone;
       bound = u;
       upper = true;
     } else if (delta > 0) {
-      if (u == kInf) return kInf;
+      if (u == kInf) return kNone;
       bound = u;
       upper = true;
     } else {
-      if (l == -kInf) return kInf;
+      if (l == -kInf) return kNone;
       bound = l;
       upper = false;
     }
-    if (hits_upper != nullptr) *hits_upper = upper;
-    return std::max(0.0, (bound - x) / delta);
+    return {std::max(0.0, (bound - x) / delta), upper};
   }
 
   // ---- Solution extraction ---------------------------------------------
@@ -749,6 +755,7 @@ class Engine {
   // Per-iteration scratch, sized once in the constructor.
   util::ArenaVector<double> work_v_, work_w_;  // ComputeBasicValues / Btran
   util::ArenaVector<double> cb_, y_, w_, col_;
+  util::ArenaVector<Ratio> ratios_;  // Step's pass 1 -> pass 2
 };
 
 // No constraints: every variable sits at its cost-minimizing bound. Kept in

@@ -53,13 +53,14 @@ bool Connection::QueueFrame(std::string_view payload) {
   return true;
 }
 
-bool Connection::Flush() {
+bool Connection::Flush(int64_t* sends) {
   while (wants_write()) {
     const ssize_t n =
         ::send(socket_.fd(), write_buffer_.data() + write_offset_,
                write_buffer_.size() - write_offset_, MSG_NOSIGNAL);
     if (n > 0) {
       write_offset_ += static_cast<size_t>(n);
+      if (sends != nullptr) ++*sends;
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;

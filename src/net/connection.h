@@ -2,6 +2,7 @@
 #define AUDIT_GAME_NET_CONNECTION_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,10 +46,11 @@ class Connection {
   /// connection (the peer is not consuming).
   bool QueueFrame(std::string_view payload);
 
-  /// Writes as much buffered output as the socket accepts right now.
-  /// Returns false on a fatal write error (EPIPE/ECONNRESET — the
+  /// Writes as much buffered output as the socket accepts right now, and
+  /// adds the number of send(2) calls that moved bytes to *sends when
+  /// given. Returns false on a fatal write error (EPIPE/ECONNRESET — the
   /// connection should be dropped).
-  bool Flush();
+  bool Flush(int64_t* sends = nullptr);
 
   /// True while buffered output remains — the event loop's POLLOUT signal.
   bool wants_write() const { return write_offset_ < write_buffer_.size(); }

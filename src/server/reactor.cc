@@ -116,6 +116,7 @@ void Reactor::Run() {
     }
 
     const bool inbox_work = DrainInbox();
+    FlushDirty();
 
     if (options_.idle_timeout_ms > 0) {
       const auto now = std::chrono::steady_clock::now();
@@ -175,7 +176,7 @@ bool Reactor::DrainInbox() {
     it->second.last_activity = std::chrono::steady_clock::now();
     fd_to_conn_[fd] = entry.conn_id;
     Add(active_connections_);
-    UpdateInterest(entry.conn_id);
+    MarkDirty(entry.conn_id, it->second);
   }
   for (Shard::Response& response : responses) {
     Reply(response.conn_id, response.payload, /*from_shard=*/true);
@@ -208,8 +209,7 @@ void Reactor::HandleConnectionEvent(const net::PollEvent& event) {
       // responses are settled — pipelined requests before a half-close
       // still deserve answers.
       conn_it->second.read_closed = true;
-      UpdateInterest(conn_id);
-      MaybeFinishConnection(conn_id);
+      MarkDirty(conn_id, conn_it->second);
       return;
     }
   }
@@ -217,13 +217,38 @@ void Reactor::HandleConnectionEvent(const net::PollEvent& event) {
     auto conn_it = connections_.find(conn_id);
     if (conn_it == connections_.end()) return;
     conn_it->second.last_activity = std::chrono::steady_clock::now();
-    if (!conn_it->second.conn.Flush()) {
+    MarkDirty(conn_id, conn_it->second);
+  }
+}
+
+void Reactor::MarkDirty(uint64_t conn_id, ConnState& state) {
+  if (state.dirty) return;
+  state.dirty = true;
+  dirty_.push_back(conn_id);
+}
+
+void Reactor::FlushDirty() {
+  // Ids are never reused, so an id whose connection closed since it was
+  // marked is simply gone from the map.
+  for (const uint64_t conn_id : dirty_) {
+    auto it = connections_.find(conn_id);
+    if (it == connections_.end()) continue;
+    it->second.dirty = false;
+    if (!Flush(it->second.conn)) {
       CloseConnection(conn_id);
-      return;
+      continue;
     }
     UpdateInterest(conn_id);
     MaybeFinishConnection(conn_id);
   }
+  dirty_.clear();
+}
+
+bool Reactor::Flush(net::Connection& conn) {
+  int64_t sends = 0;
+  const bool ok = conn.Flush(&sends);
+  Add(writes_, sends);
+  return ok;
 }
 
 void Reactor::Reply(uint64_t conn_id, const std::string& payload,
@@ -236,20 +261,24 @@ void Reactor::Reply(uint64_t conn_id, const std::string& payload,
     Add(orphaned_responses_);
     return;
   }
-  if (from_shard) --it->second.in_flight;
-  if (!it->second.conn.QueueFrame(payload)) {
-    Add(slow_consumer_closes_);
-    CloseConnection(conn_id);
-    return;
+  ConnState& state = it->second;
+  if (from_shard) --state.in_flight;
+  if (!state.conn.QueueFrame(payload)) {
+    // The cap counts what the peer has not read, not what this loop
+    // iteration has not sent yet: flush, then retry once.
+    if (!Flush(state.conn)) {
+      CloseConnection(conn_id);
+      return;
+    }
+    if (!state.conn.QueueFrame(payload)) {
+      Add(slow_consumer_closes_);
+      CloseConnection(conn_id);
+      return;
+    }
   }
   Add(frames_out_);
-  it->second.last_activity = std::chrono::steady_clock::now();
-  if (!it->second.conn.Flush()) {
-    CloseConnection(conn_id);
-    return;
-  }
-  UpdateInterest(conn_id);
-  MaybeFinishConnection(conn_id);
+  state.last_activity = std::chrono::steady_clock::now();
+  MarkDirty(conn_id, state);
 }
 
 void Reactor::OnSubmitted(uint64_t conn_id) {
@@ -274,8 +303,7 @@ void Reactor::Poison(uint64_t conn_id) {
   auto it = connections_.find(conn_id);
   if (it == connections_.end()) return;
   it->second.read_closed = true;
-  UpdateInterest(conn_id);
-  MaybeFinishConnection(conn_id);
+  MarkDirty(conn_id, it->second);
 }
 
 void Reactor::UpdateInterest(uint64_t conn_id) {

@@ -47,6 +47,12 @@ struct ReactorOptions {
 /// closed (the orphaned response is still delivered to the right thread,
 /// which counts it and settles the in-flight accounting).
 ///
+/// Write path: replies (shard responses and inline handler answers alike)
+/// only queue their frame. After each iteration has handled its poll
+/// events and its inbox, every connection with new output is flushed
+/// once, so a batch of responses for one peer costs one send(2), not one
+/// per frame.
+///
 /// Drain protocol: BeginDrain() stops nothing by itself — the loop keeps
 /// reading (closed shard queues turn new requests into `overloaded`),
 /// delivering and flushing, and exits only once a poll came back empty
@@ -107,6 +113,9 @@ class Reactor {
   int64_t closed_connections() const { return Load(closed_connections_); }
   int64_t frames_in() const { return Load(frames_in_); }
   int64_t frames_out() const { return Load(frames_out_); }
+  /// send(2) calls that moved bytes; with coalescing, well below
+  /// frames_out() whenever responses arrive in batches.
+  int64_t writes() const { return Load(writes_); }
   int64_t protocol_errors() const { return Load(protocol_errors_); }
   int64_t overloaded() const { return Load(overloaded_); }
   int64_t slow_consumer_closes() const {
@@ -117,8 +126,10 @@ class Reactor {
 
   /// --- frame-handler surface (reactor thread only) ---
 
-  /// Queues one response frame and flushes what the socket accepts.
-  /// `from_shard` marks responses that settle an in-flight shard task.
+  /// Queues one response frame; the connection is flushed once, at the end
+  /// of the current loop iteration, together with every other frame queued
+  /// for it meanwhile. `from_shard` marks responses that settle an
+  /// in-flight shard task.
   void Reply(uint64_t conn_id, const std::string& payload,
              bool from_shard = false);
 
@@ -148,6 +159,9 @@ class Reactor {
     int64_t in_flight = 0;
     bool read_closed = false;
     bool binary_mode = false;
+    /// Listed in dirty_: flushed and re-evaluated at the end of this
+    /// loop iteration.
+    bool dirty = false;
     std::chrono::steady_clock::time_point last_activity;
   };
 
@@ -168,6 +182,14 @@ class Reactor {
   /// anything was processed.
   bool DrainInbox();
   void HandleConnectionEvent(const net::PollEvent& event);
+  /// Schedules the connection for this iteration's FlushDirty(). Every
+  /// change to what a connection owes or polls for goes through here.
+  void MarkDirty(uint64_t conn_id, ConnState& state);
+  /// Once per loop iteration: one Flush per dirty connection, then its
+  /// poll interest and close check.
+  void FlushDirty();
+  /// Connection::Flush, counted in writes_.
+  bool Flush(net::Connection& conn);
   /// Re-registers the connection's poll interest; closes it (counted in
   /// closed_connections) when the poller refuses the descriptor.
   void UpdateInterest(uint64_t conn_id);
@@ -203,12 +225,14 @@ class Reactor {
   /// closed ones (orphan deliveries settle it) — the drain-exit proof that
   /// no accepted request is still being processed.
   int64_t in_flight_total_ = 0;
+  std::vector<uint64_t> dirty_;
   std::chrono::steady_clock::time_point last_idle_sweep_;
 
   std::atomic<int64_t> active_connections_{0};
   std::atomic<int64_t> closed_connections_{0};
   std::atomic<int64_t> frames_in_{0};
   std::atomic<int64_t> frames_out_{0};
+  std::atomic<int64_t> writes_{0};
   std::atomic<int64_t> protocol_errors_{0};
   std::atomic<int64_t> overloaded_{0};
   std::atomic<int64_t> slow_consumer_closes_{0};

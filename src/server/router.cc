@@ -660,10 +660,12 @@ void Router::PostReleases(std::vector<Shard::Response> releases) {
 util::JsonValue::Object Router::StatsBody() {
   int64_t active = 0, frames_in = 0, frames_out = 0, protocol_errors = 0;
   int64_t overloaded = 0, slow_closes = 0, orphaned = 0, idle_closes = 0;
+  int64_t writes = 0;
   for (const auto& reactor : reactors_) {
     active += reactor->active_connections();
     frames_in += reactor->frames_in();
     frames_out += reactor->frames_out();
+    writes += reactor->writes();
     protocol_errors += reactor->protocol_errors();
     overloaded += reactor->overloaded();
     slow_closes += reactor->slow_consumer_closes();
@@ -681,6 +683,7 @@ util::JsonValue::Object Router::StatsBody() {
       accept_rejections_.load(std::memory_order_relaxed));
   server["frames_in"] = static_cast<double>(frames_in);
   server["frames_out"] = static_cast<double>(frames_out);
+  server["writes"] = static_cast<double>(writes);
   server["protocol_errors"] = static_cast<double>(protocol_errors);
   server["overloaded"] = static_cast<double>(overloaded);
   server["slow_consumer_closes"] = static_cast<double>(slow_closes);

@@ -7,8 +7,10 @@
 
 #include <stdlib.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <set>
@@ -19,6 +21,7 @@
 #include "gtest/gtest.h"
 #include "net/client.h"
 #include "net/frame.h"
+#include "net/socket.h"
 #include "scenario/generator.h"
 #include "server/binary_codec.h"
 #include "server/protocol.h"
@@ -132,6 +135,126 @@ TEST(ReactorTest, RefusedDescriptorIsClosedAndCounted) {
   reactor.Kill();
   reactor.Join();
   EXPECT_TRUE(reactor.status().ok()) << reactor.status();
+}
+
+/// An AF_UNIX stream pair: `reactor_end` is non-blocking, ready for
+/// Reactor::Adopt; `peer` blocks, with a 10 s receive timeout.
+struct ReactorPeer {
+  ReactorPeer() {
+    int fds[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    reactor_end = net::Socket(fds[0]);
+    peer = net::Socket(fds[1]);
+    EXPECT_TRUE(net::SetNonBlocking(reactor_end.fd()).ok());
+    timeval tv{10, 0};
+    EXPECT_EQ(::setsockopt(peer.fd(), SOL_SOCKET, SO_RCVTIMEO, &tv,
+                           sizeof(tv)),
+              0);
+  }
+
+  void Send(const std::vector<std::string>& payloads) {
+    std::string wire;
+    for (const std::string& payload : payloads) {
+      wire += net::EncodeFrame(payload);
+    }
+    ASSERT_EQ(::write(peer.fd(), wire.data(), wire.size()),
+              static_cast<ssize_t>(wire.size()));
+  }
+
+  /// Reads until `count` frames arrived, or EOF or the timeout; *eof tells
+  /// which of the two stopped it early.
+  std::vector<std::string> Receive(size_t count, bool* eof) {
+    net::FrameDecoder decoder;
+    std::vector<std::string> frames;
+    *eof = false;
+    while (frames.size() < count) {
+      std::string payload;
+      auto next = decoder.Next(&payload);
+      EXPECT_TRUE(next.ok()) << next.status();
+      if (!next.ok()) break;
+      if (*next) {
+        frames.push_back(std::move(payload));
+        continue;
+      }
+      char chunk[4096];
+      const ssize_t n = ::recv(peer.fd(), chunk, sizeof(chunk), 0);
+      if (n <= 0) {
+        *eof = n == 0;
+        break;
+      }
+      decoder.Append(chunk, static_cast<size_t>(n));
+    }
+    return frames;
+  }
+
+  net::Socket reactor_end;
+  net::Socket peer;
+};
+
+TEST(ReactorTest, OneBatchOfResponsesIsOneSend) {
+  constexpr int kFrames = 32;
+  std::atomic<int> submitted{0};
+  Reactor reactor(0, ReactorOptions{},
+                  [&submitted](Reactor& r, uint64_t conn_id,
+                               const std::string&) {
+                    r.OnSubmitted(conn_id);
+                    submitted.fetch_add(1);
+                    return true;
+                  });
+  ASSERT_TRUE(reactor.Start().ok());
+  ReactorPeer pair;
+  reactor.Adopt(std::move(pair.reactor_end), /*conn_id=*/7);
+  pair.Send(std::vector<std::string>(kFrames, "request"));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (submitted.load() < kFrames &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(submitted.load(), kFrames);
+
+  // What a shard's micro-batch hands back: every answer in one post.
+  std::vector<Shard::Response> batch;
+  for (int i = 0; i < kFrames; ++i) {
+    batch.push_back(Shard::Response{7, "response-" + std::to_string(i)});
+  }
+  reactor.PostResponses(std::move(batch));
+  bool eof = false;
+  const std::vector<std::string> frames = pair.Receive(kFrames, &eof);
+  ASSERT_EQ(frames.size(), static_cast<size_t>(kFrames));
+  for (int i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(frames[static_cast<size_t>(i)],
+              "response-" + std::to_string(i));
+  }
+
+  // Every response settled its request, so the drain exits cleanly.
+  reactor.BeginDrain();
+  reactor.Join();
+  EXPECT_TRUE(reactor.status().ok()) << reactor.status();
+  EXPECT_EQ(reactor.frames_out(), kFrames);
+  EXPECT_GE(reactor.writes(), 1);
+  EXPECT_LE(reactor.writes(), 2);
+}
+
+TEST(ReactorTest, ReplyBeforePoisonIsDeliveredThenClosed) {
+  Reactor reactor(0, ReactorOptions{},
+                  [](Reactor& r, uint64_t conn_id, const std::string&) {
+                    r.Reply(conn_id, "goodbye");
+                    r.Poison(conn_id);
+                    return false;  // drop the rest of the read batch
+                  });
+  ASSERT_TRUE(reactor.Start().ok());
+  ReactorPeer pair;
+  reactor.Adopt(std::move(pair.reactor_end), /*conn_id=*/3);
+  pair.Send({"first", "second"});
+  bool eof = false;
+  const std::vector<std::string> frames = pair.Receive(2, &eof);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0], "goodbye");
+  EXPECT_TRUE(eof) << "the poisoned connection was not closed";
+  reactor.Kill();
+  reactor.Join();
+  EXPECT_EQ(reactor.frames_out(), 1);
 }
 
 TEST_F(AuditServerTest, SolveCyclesAreOrderedUnderConcurrentClients) {
